@@ -9,8 +9,8 @@ inference, and brute-force finite-spin benchmarks.
 
 from .model import (ModelParams, TimeGrid, MomentMatrices, jbar,
                     moment_matrices, validity_report, load_config, save_config)
-from .filtering import (GaussianConditionalState, SensitivityState,
-                        vacuum_state, var_p_closed, var_p_ode,
+from .filtering import (GaussianConditionalState, vacuum_state,
+                        var_p_closed, var_p_ode,
                         sensitivity_closed, sensitivity_ode,
                         step_conditional_mean, cov_flow_matrix)
 from .information import (InformationReport, REPORT_COLUMNS,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelParams", "TimeGrid", "MomentMatrices", "jbar", "moment_matrices",
     "validity_report", "load_config", "save_config",
-    "GaussianConditionalState", "SensitivityState", "vacuum_state",
+    "GaussianConditionalState", "vacuum_state",
     "var_p_closed", "var_p_ode", "sensitivity_closed", "sensitivity_ode",
     "step_conditional_mean", "cov_flow_matrix",
     "InformationReport", "REPORT_COLUMNS", "fisher_record_closed",

@@ -25,12 +25,11 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import bayes, information, model, records, spin
+from . import bayes, filtering, information, model, records, spin
 
 SWEEP_J = (1e2, 1e4, 1e6)
 SWEEP_KAPPA_T = (0.01, 0.1, 1.0)
@@ -52,29 +51,28 @@ def _build_parser() -> _Parser:
                             "monitored atomic ensemble")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_config, need_out):
+    def common(sp, need_config):
         sp.add_argument("--config", required=need_config, default=None,
                         help="flat JSON config file")
-        sp.add_argument("--out", required=need_out, default=None,
-                        help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
+        sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--threads", type=int, default=1,
                         help="worker threads (output order is independent)")
 
     sp = sub.add_parser("info-sweep", help="closed-form information sweep")
-    common(sp, need_config=False, need_out=True)
+    common(sp, need_config=False)
 
     sp = sub.add_parser("simulate", help="generate photocurrent records")
-    common(sp, need_config=True, need_out=True)
+    common(sp, need_config=True)
+    sp.add_argument("--seed", type=int, default=None,
+                    help="override the config seed")
 
     sp = sub.add_parser("estimate", help="posterior inference from records")
-    common(sp, need_config=True, need_out=True)
+    common(sp, need_config=True)
     sp.add_argument("records", nargs="*", metavar="RECORD",
                     help="record .npz files (zero records echoes the prior)")
 
     sp = sub.add_parser("verify", help="run the cross-validation suite")
-    common(sp, need_config=False, need_out=False)
+    sp.add_argument("--out", default=None, help="output directory")
     sp.add_argument("--inject-error", action="store_true",
                     help=argparse.SUPPRESS)  # negative control for the suite
     return p
@@ -105,68 +103,32 @@ def _outdir(args) -> Path:
 
 # -- info-sweep -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A fully resolved sweep request: workflow name, grid axes, the parameter
-    template the axes are applied to, and where/how to run."""
-
-    workflow: str
-    j_values: tuple
-    kappa_t_values: tuple
-    eta_values: tuple
-    template: model.ModelParams
-    out_dir: Path
-    seed: int | None = None
-
-    def __post_init__(self):
-        if not (self.j_values and self.kappa_t_values and self.eta_values):
-            raise UsageError("sweep lists must be non-empty")
-
-    @classmethod
-    def from_args(cls, args, workflow: str) -> "ExperimentSpec":
-        extras = _read_extras(args.config)
-        template = model.ModelParams(J=1.0,
-                                     kappa=float(extras.get("kappa", 1.0)),
-                                     gamma=float(extras.get("gamma", 1.0)),
-                                     eta=1.0, B=0.0)
-        return cls(
-            workflow=workflow,
-            j_values=tuple(float(x) for x in extras.get("J_values", SWEEP_J)),
-            kappa_t_values=tuple(float(x) for x in
-                                 extras.get("kappa_t_values", SWEEP_KAPPA_T)),
-            eta_values=tuple(float(x) for x in
-                             extras.get("eta_values", SWEEP_ETA)),
-            template=template, out_dir=Path(args.out), seed=args.seed)
-
-    def points(self):
-        return [(J, kt, eta) for J in self.j_values
-                for kt in self.kappa_t_values for eta in self.eta_values]
-
-
 def cmd_info_sweep(args) -> int:
-    spec = ExperimentSpec.from_args(args, "info-sweep")
-    kappa, gamma = spec.template.kappa, spec.template.gamma
+    extras = _read_extras(args.config)
+    kappa = float(extras.get("kappa", 1.0))
+    gamma = float(extras.get("gamma", 1.0))
+    template = model.ModelParams(J=1.0, kappa=kappa, gamma=gamma, eta=1.0, B=0.0)
+    axes = [tuple(float(x) for x in extras.get(key, default))
+            for key, default in (("J_values", SWEEP_J),
+                                 ("kappa_t_values", SWEEP_KAPPA_T),
+                                 ("eta_values", SWEEP_ETA))]
+    if not all(axes):
+        raise UsageError("sweep lists must be non-empty")
+    j_values, kappa_t_values, eta_values = axes
+    # --threads is accepted but unused: a serial sweep of closed forms is
+    # faster than a thread pool, and the output does not depend on it.
+    rows = [information.effective_qfi(template.replace(J=J, eta=eta),
+                                      kt / kappa).row()
+            for J in j_values for kt in kappa_t_values for eta in eta_values]
 
-    def one(point):
-        J, kt, eta = point
-        params = spec.template.replace(J=J, eta=eta)
-        return information.effective_qfi(params, kt / kappa).row()
-
-    points = spec.points()
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(one, points))
-    else:
-        rows = [one(pt) for pt in points]
-
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(spec.out_dir / "info_sweep.csv",
+    out = _outdir(args)
+    _write_csv(out / "info_sweep.csv",
                [f"info-sweep kappa={kappa!r} gamma={gamma!r}",
-                f"J_values={list(spec.j_values)} "
-                f"kappa_t_values={list(spec.kappa_t_values)} "
-                f"eta_values={list(spec.eta_values)}"],
+                f"J_values={list(j_values)} "
+                f"kappa_t_values={list(kappa_t_values)} "
+                f"eta_values={list(eta_values)}"],
                information.REPORT_COLUMNS, rows)
-    print(f"info-sweep: wrote {len(rows)} rows to {spec.out_dir / 'info_sweep.csv'}")
+    print(f"info-sweep: wrote {len(rows)} rows to {out / 'info_sweep.csv'}")
     return 0
 
 
@@ -209,6 +171,8 @@ def cmd_simulate(args) -> int:
 # -- estimate -------------------------------------------------------------------
 
 def _checkpoint_steps(n_steps: int, n_checkpoints: int) -> np.ndarray:
+    if n_checkpoints == 1:
+        return np.array([n_steps])
     return np.unique(np.linspace(1, n_steps, n_checkpoints).round().astype(int))
 
 
@@ -219,6 +183,8 @@ def cmd_estimate(args) -> int:
              float(extras.get("prior_hi", bayes.DEFAULT_PRIOR[1])))
     n_grid = int(extras.get("n_grid", bayes.DEFAULT_GRID_POINTS))
     n_checkpoints = int(extras.get("n_checkpoints", 20))
+    if n_checkpoints < 1:
+        raise ValueError(f"n_checkpoints must be at least 1, got {n_checkpoints}")
     out = _outdir(args)
 
     recs = [records.load_record(p) for p in args.records]
@@ -313,10 +279,10 @@ def _verify_checks(inject_error: bool):
             for kt in (0.01, 0.1, 1.0):
                 p = base.replace(J=J, eta=eta)
                 grid = model.TimeGrid(t_final=kt / kappa, n_steps=400)
-                f_num = information.fisher_record_numeric(p, grid, rel_tol=None)
+                var, s, F = filtering.gaussian_flow(p, grid)
                 f_ref = information.fisher_record_closed(p, grid.t_final)
-                worst_f = max(worst_f, abs(f_num - f_ref) / f_ref)
-                q_num = information.qfi_conditional_numeric(p, grid)
+                worst_f = max(worst_f, abs(F[-1] - f_ref) / f_ref)
+                q_num = s[-1] ** 2 / var[-1]
                 q_ref = information.qfi_conditional(p, grid.t_final)
                 worst_q = max(worst_q, abs(q_num - q_ref) / q_ref)
     yield "fisher_record closed vs integrated", worst_f, 1e-6

@@ -15,14 +15,16 @@ sensitivity also closes:
     s(t) = -(8 gamma sqrt(J) / (3 kappa)) * Var(t) * v*(3 + 4 eta J v (3 - v)),
     v = 1 - e^{-kappa t/4}.
 
-The ODE routines here deliberately *re-integrate* these equations with a
-fixed-step explicit scheme (classical RK4 on the user grid, with extra
-substeps inside cells where the Riccati contraction is fast) so the closed
-forms can be checked against an independent route.  The stability rule is
+gaussian_flow deliberately *re-integrates* these equations, together with
+the record information dF/dt = 4 eta kappa Jbar s^2, as one joint flow for
+(Var, s, F) from (1/2, 0, 0), so the closed forms can be checked against an
+independent route.  It uses the one substepped classical RK4 of this module,
+rk4, with this stability rule for every Gaussian flow:
 
     substeps per cell = ceil(dt * (8 eta kappa Jbar(t) Var(t) + kappa) / 0.1)
 
-evaluated at the cell start, where the rates are largest.
+evaluated at the cell start, where the rates are largest.  The closed-form
+variance only sizes the substeps; it never enters the right-hand side.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .model import ModelParams, TimeGrid, jbar
 
 __all__ = [
     "GaussianConditionalState",
-    "SensitivityState",
     "var_p_closed",
     "var_p_ode",
     "sensitivity_closed",
@@ -44,6 +45,8 @@ __all__ = [
     "step_conditional_mean",
     "cov_flow_matrix",
     "vacuum_state",
+    "rk4",
+    "gaussian_flow",
 ]
 
 
@@ -59,14 +62,6 @@ class GaussianConditionalState:
     def var_p(self) -> float:
         """Var_c[P] = sigma_22 / 2."""
         return float(self.cov[1, 1]) / 2.0
-
-
-@dataclass(frozen=True)
-class SensitivityState:
-    """d<P>_c/dB (units 1/Gauss) at time t."""
-
-    dmean_p_dB: float
-    t: float
 
 
 def vacuum_state() -> GaussianConditionalState:
@@ -96,6 +91,32 @@ def sensitivity_closed(params: ModelParams, t):
     return out if out.ndim else float(out)
 
 
+def rk4(f, y0, times, substeps) -> list:
+    """Classical RK4 through the nodes of times; returns the state at each node.
+
+    The state is a list of floats (real or complex) and f(t, y) returns its
+    derivative as a list.  Each cell [t0, t1] is crossed in substeps(t0, t1-t0)
+    equal steps.
+    """
+    times = np.asarray(times, dtype=float).tolist()
+    y = list(y0)
+    out = [y]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        n = substeps(t0, t1 - t0)
+        h = (t1 - t0) / n
+        h2, h6 = h / 2, h / 6
+        for k in range(n):
+            t = t0 + k * h
+            k1 = f(t, y)
+            k2 = f(t + h2, [a + h2 * b for a, b in zip(y, k1)])
+            k3 = f(t + h2, [a + h2 * b for a, b in zip(y, k2)])
+            k4 = f(t + h, [a + h * b for a, b in zip(y, k3)])
+            y = [a + h6 * (b1 + 2 * (b2 + b3) + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        out.append(y)
+    return out
+
+
 def _substeps(params: ModelParams, t: float, dt: float) -> int:
     """Stability rule: keep |fastest rate| * h <= 0.1 within the cell."""
     rate = 8.0 * params.eta * params.kappa * jbar(params, t) \
@@ -103,36 +124,38 @@ def _substeps(params: ModelParams, t: float, dt: float) -> int:
     return max(1, math.ceil(dt * rate / 0.1))
 
 
-def var_p_ode(params: ModelParams, grid: TimeGrid, check_tol: float = 1e-6) -> np.ndarray:
-    """Integrate the Riccati variance equation on the grid (RK4, substepped).
+def gaussian_flow(params: ModelParams, grid: TimeGrid):
+    """Integrate Var_c[P], s = d<P>_c/dB and F_record jointly on the grid.
 
-    Returns Var_c[P] at all grid nodes.  Raises RuntimeError if the result
-    disagrees with the closed form by more than check_tol in relative terms
-    (set check_tol=None to skip the cross-check).
+        dVar/dt = -4 eta kappa Jbar Var^2
+        ds/dt   = -gamma sqrt(Jbar) - 4 Var eta kappa Jbar s
+        dF/dt   = 4 eta kappa Jbar s^2
+
+    from (1/2, 0, 0).  Returns three arrays (Var, s, F) over all grid nodes.
     """
-    ek, J, eta = params.kappa, params.J, params.eta
-    times = grid.times()
-    out = np.empty(times.size)
-    out[0] = 0.5
-    V = 0.5
-    for i in range(grid.n_steps):
-        t0, dt = times[i], grid.dt
-        n_sub = _substeps(params, t0, dt)
-        h = dt / n_sub
-        for k in range(n_sub):
-            t = t0 + k * h
+    ek, J, eta, gam = params.kappa, params.J, params.eta, params.gamma
 
-            def f(tt, vv):
-                return -4.0 * eta * ek * J * math.exp(-ek * tt / 2.0) * vv * vv
+    def f(t, y):
+        V, s, _ = y
+        jb = J * math.exp(-ek * t / 2.0)
+        rate = 4.0 * eta * ek * jb
+        return [-rate * V * V, -gam * math.sqrt(jb) - rate * V * s, rate * s * s]
 
-            k1 = f(t, V)
-            k2 = f(t + h / 2, V + h * k1 / 2)
-            k3 = f(t + h / 2, V + h * k2 / 2)
-            k4 = f(t + h, V + h * k3)
-            V += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i + 1] = V
+    flow = rk4(f, [0.5, 0.0, 0.0], grid.times(),
+               lambda t0, dt: _substeps(params, t0, dt))
+    return tuple(np.array(flow).T)
+
+
+def var_p_ode(params: ModelParams, grid: TimeGrid, check_tol: float = 1e-6) -> np.ndarray:
+    """Var_c[P] at all grid nodes, from the integrated Riccati flow.
+
+    Raises RuntimeError if the result disagrees with the closed form by more
+    than check_tol in relative terms (set check_tol=None to skip the
+    cross-check).
+    """
+    out = gaussian_flow(params, grid)[0]
     if check_tol is not None:
-        ref = var_p_closed(params, times)
+        ref = var_p_closed(params, grid.times())
         rel = np.max(np.abs(out - ref) / ref)
         if rel > check_tol:
             raise RuntimeError(
@@ -144,33 +167,11 @@ def var_p_ode(params: ModelParams, grid: TimeGrid, check_tol: float = 1e-6) -> n
 def sensitivity_ode(params: ModelParams, grid: TimeGrid) -> np.ndarray:
     """Integrate ds/dt = -gamma sqrt(Jbar) - 4 Var eta kappa Jbar s from s(0)=0.
 
-    Deterministic (no noise term); the closed-form variance feeds the damping
-    coefficient.  Returns s at all grid nodes (units 1/Gauss).
+    Deterministic (no noise term); the damping coefficient uses the variance
+    integrated alongside s, not the closed form.  Returns s at all grid nodes
+    (units 1/Gauss).
     """
-    ek, J, eta, gam = params.kappa, params.J, params.eta, params.gamma
-    times = grid.times()
-    out = np.empty(times.size)
-    out[0] = 0.0
-    s = 0.0
-    for i in range(grid.n_steps):
-        t0, dt = times[i], grid.dt
-        n_sub = _substeps(params, t0, dt)
-        h = dt / n_sub
-        for k in range(n_sub):
-            t = t0 + k * h
-
-            def f(tt, ss):
-                jb = J * math.exp(-ek * tt / 2.0)
-                V = 1.0 / (8.0 * eta * J * (-math.expm1(-ek * tt / 2.0)) + 2.0)
-                return -gam * math.sqrt(jb) - 4.0 * V * eta * ek * jb * ss
-
-            k1 = f(t, s)
-            k2 = f(t + h / 2, s + h * k1 / 2)
-            k3 = f(t + h / 2, s + h * k2 / 2)
-            k4 = f(t + h, s + h * k3)
-            s += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i + 1] = s
-    return out
+    return gaussian_flow(params, grid)[1]
 
 
 def step_conditional_mean(state: GaussianConditionalState, params: ModelParams,
@@ -188,30 +189,25 @@ def step_conditional_mean(state: GaussianConditionalState, params: ModelParams,
     mean_p = state.mean_p - params.gamma * params.B * math.sqrt(jb) * dt \
         + sig[1, 1] * root * dw
     mean_x = state.mean_x + sig[0, 1] * root * dw
-    cov = _cov_rk4_step(params, state.t, sig, dt)
-    return GaussianConditionalState(mean_x=mean_x, mean_p=mean_p, cov=cov,
+    s11, s12, s22 = rk4(_cov_rhs(params), [sig[0, 0], sig[0, 1], sig[1, 1]],
+                        [state.t, state.t + dt], lambda t0, _: 1)[-1]
+    return GaussianConditionalState(mean_x=mean_x, mean_p=mean_p,
+                                    cov=np.array([[s11, s12], [s12, s22]]),
                                     t=state.t + dt)
 
 
-def _cov_rhs(params: ModelParams, t: float, sig: np.ndarray) -> np.ndarray:
-    """dsigma/dt = D - sigma M M^T sigma for this model's D, M."""
-    jb = params.J * math.exp(-params.kappa * t / 2.0)
-    mm = 2.0 * params.eta * params.kappa * jb  # (M M^T)_22, the only entry
-    s12, s22 = sig[0, 1], sig[1, 1]
-    d = np.empty((2, 2))
-    d[0, 0] = 2.0 * params.kappa * jb - mm * s12 * s12
-    d[0, 1] = d[1, 0] = -mm * s12 * s22
-    d[1, 1] = -mm * s22 * s22
-    return d
+def _cov_rhs(params: ModelParams):
+    """dsigma/dt = D - sigma M M^T sigma for this model's D, M, on the state
+    (sigma11, sigma12, sigma22)."""
+    ek, J, eta = params.kappa, params.J, params.eta
 
+    def f(t, y):
+        s11, s12, s22 = y
+        jb = J * math.exp(-ek * t / 2.0)
+        mm = 2.0 * eta * ek * jb  # (M M^T)_22, the only entry
+        return [2.0 * ek * jb - mm * s12 * s12, -mm * s12 * s22, -mm * s22 * s22]
 
-def _cov_rk4_step(params: ModelParams, t: float, sig: np.ndarray,
-                  h: float) -> np.ndarray:
-    k1 = _cov_rhs(params, t, sig)
-    k2 = _cov_rhs(params, t + h / 2, sig + h * k1 / 2)
-    k3 = _cov_rhs(params, t + h / 2, sig + h * k2 / 2)
-    k4 = _cov_rhs(params, t + h, sig + h * k3)
-    return sig + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return f
 
 
 def cov_flow_matrix(params: ModelParams, grid: TimeGrid) -> np.ndarray:
@@ -221,17 +217,10 @@ def cov_flow_matrix(params: ModelParams, grid: TimeGrid) -> np.ndarray:
     step-size failure (it cannot happen for a converged integration).
     """
     times = grid.times()
-    out = np.empty((times.size, 2, 2))
-    sig = np.eye(2)
-    out[0] = sig
-    for i in range(grid.n_steps):
-        t0, dt = times[i], grid.dt
-        n_sub = _substeps(params, t0, dt)
-        h = dt / n_sub
-        for k in range(n_sub):
-            sig = _cov_rk4_step(params, t0 + k * h, sig, h)
-        if sig[0, 0] <= 0 or sig[0, 0] * sig[1, 1] - sig[0, 1] ** 2 <= 0:
-            raise RuntimeError(f"covariance lost positive-definiteness at "
-                               f"t={times[i + 1]:.6g}; refine the grid")
-        out[i + 1] = sig
-    return out
+    s11, s12, s22 = np.array(rk4(_cov_rhs(params), [1.0, 0.0, 1.0], times,
+                                 lambda t0, dt: _substeps(params, t0, dt))).T
+    bad = np.flatnonzero(~((s11 > 0) & (s11 * s22 - s12 ** 2 > 0)))
+    if bad.size:
+        raise RuntimeError(f"covariance lost positive-definiteness at "
+                           f"t={times[bad[0]]:.6g}; refine the grid")
+    return np.array([[s11, s12], [s12, s22]]).transpose(2, 0, 1)

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .filtering import (gaussian_flow, rk4, sensitivity_closed,
+                        var_p_closed)
 from .model import ModelParams
 
 __all__ = [
@@ -138,26 +140,14 @@ def fisher_record_smallt(params: ModelParams, t):
 
 
 def fisher_record_numeric(params: ModelParams, grid, rel_tol: float = 1e-6) -> float:
-    """Record FI by integrating the sensitivity ODE and the FI rate together.
+    """Record FI as the F component of the joint flow filtering.gaussian_flow.
 
-    Augments ds/dt = -gamma sqrt(Jbar) - 4 Var eta kappa Jbar s with
-    dF/dt = 4 eta kappa Jbar s^2 and runs the same substepped RK4 scheme as
-    the filtering module.  Raises RuntimeError when the result differs from
-    the closed form by more than rel_tol (the defining convention check);
-    pass rel_tol=None to get the raw number.
+    There dF/dt = 4 eta kappa Jbar s^2 is integrated together with the
+    sensitivity s and the variance that damps it.  Raises RuntimeError when
+    the result differs from the closed form by more than rel_tol (the defining
+    convention check); pass rel_tol=None to get the raw number.
     """
-    ek, J, eta, gam = params.kappa, params.J, params.eta, params.gamma
-    times = grid.times()
-    s, F = 0.0, 0.0
-    for i in range(grid.n_steps):
-        t0, dt = times[i], grid.dt
-        jb0 = J * math.exp(-ek * t0 / 2.0)
-        V0 = 1.0 / (8.0 * eta * J * (-math.expm1(-ek * t0 / 2.0)) + 2.0)
-        n_sub = max(1, math.ceil(dt * (8.0 * eta * ek * jb0 * V0 + ek) / 0.1))
-        h = dt / n_sub
-        for k in range(n_sub):
-            t = t0 + k * h
-            s, F = _rk4_sf(ek, J, eta, gam, t, s, F, h)
+    F = gaussian_flow(params, grid)[2][-1]
     closed = fisher_record_closed(params, grid.t_final)
     if rel_tol is not None and closed > 0:
         rel = abs(F - closed) / closed
@@ -166,23 +156,6 @@ def fisher_record_numeric(params: ModelParams, grid, rel_tol: float = 1e-6) -> f
                 f"record-FI quadrature disagrees with closed form: rel err "
                 f"{rel:.3e} > {rel_tol:.1e}")
     return F
-
-
-def _rk4_sf(ek, J, eta, gam, t, s, F, h):
-    """One RK4 step of the coupled (sensitivity, FI) system."""
-
-    def f(tt, ss):
-        jb = J * math.exp(-ek * tt / 2.0)
-        V = 1.0 / (8.0 * eta * J * (-math.expm1(-ek * tt / 2.0)) + 2.0)
-        return (-gam * math.sqrt(jb) - 4.0 * V * eta * ek * jb * ss,
-                4.0 * eta * ek * jb * ss * ss)
-
-    k1s, k1f = f(t, s)
-    k2s, k2f = f(t + h / 2, s + h * k1s / 2)
-    k3s, k3f = f(t + h / 2, s + h * k2s / 2)
-    k4s, k4f = f(t + h, s + h * k3s)
-    return (s + (h / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s),
-            F + (h / 6.0) * (k1f + 2 * k2f + 2 * k3f + k4f))
 
 
 def qfi_conditional(params: ModelParams, t, route: str = "closed"):
@@ -197,7 +170,6 @@ def qfi_conditional(params: ModelParams, t, route: str = "closed"):
     closed sensitivity and variance.  Both agree to floating point.
     """
     if route == "ratio":
-        from .filtering import sensitivity_closed, var_p_closed
         s = sensitivity_closed(params, t)
         return s * s / var_p_closed(params, t)
     if route != "closed":
@@ -211,11 +183,9 @@ def qfi_conditional(params: ModelParams, t, route: str = "closed"):
 
 def qfi_conditional_numeric(params: ModelParams, grid) -> float:
     """ODE route for the conditional QFI: sensitivity and variance both from
-    their integrated flows, combined as s^2/Var at the grid end."""
-    from .filtering import sensitivity_ode, var_p_ode
-    s = sensitivity_ode(params, grid)[-1]
-    V = var_p_ode(params, grid)[-1]
-    return s * s / V
+    the joint flow filtering.gaussian_flow, combined as s^2/Var at the grid end."""
+    V, s, _ = gaussian_flow(params, grid)
+    return s[-1] ** 2 / V[-1]
 
 
 def k_coefficients(params: ModelParams, t):
@@ -271,60 +241,41 @@ def gen_me_solution(params: ModelParams, t: float, B1: float, B2: float,
         dx_m/dt     = -i (gamma/2) sqrt(Jbar) (B1-B2) sigma11
         dC/dt       = -i gamma sqrt(Jbar) (B1-B2) x_m C
 
-    from sigma11=1, x_m=0, C=1, with fixed-step RK4 (the system is smooth and
-    non-stiff).  For B1 == B2 the trace C stays exactly 1.
+    from sigma11=1, x_m=0, C=1, with n_steps fixed RK4 steps (the system is
+    smooth and non-stiff).  For B1 == B2 the trace C stays exactly 1.
     """
     ek, J, gam = params.kappa, params.J, params.gamma
     dB = B1 - B2
-    h = t / n_steps if t > 0 else 0.0
-    sig11, xm, C = 1.0, 0.0 + 0.0j, 1.0 + 0.0j
 
     def f(tt, y):
         s11, x, c = y
         rj = math.sqrt(J) * math.exp(-ek * tt / 4.0)
-        return (2.0 * ek * rj * rj,
+        return [2.0 * ek * rj * rj,
                 -0.5j * gam * rj * dB * s11,
-                -1j * gam * rj * dB * x * c)
+                -1j * gam * rj * dB * x * c]
 
-    for k in range(n_steps):
-        tt = k * h
-        y = (sig11, xm, C)
-        k1 = f(tt, y)
-        k2 = f(tt + h / 2, tuple(a + h * b / 2 for a, b in zip(y, k1)))
-        k3 = f(tt + h / 2, tuple(a + h * b / 2 for a, b in zip(y, k2)))
-        k4 = f(tt + h, tuple(a + h * b for a, b in zip(y, k3)))
-        sig11, xm, C = tuple(a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-                             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+    sig11, xm, C = rk4(f, [1.0, 0j, 1 + 0j], np.linspace(0.0, t, n_steps + 1),
+                       lambda t0, _: 1)[-1]
     return GenMESolution(C=C, x_m=xm, sigma11=float(sig11), B1=B1, B2=B2, t=t)
 
 
-def ultimate_qfi_ode(params: ModelParams, t: float, delta_b: float | None = None,
-                     n_steps: int = 4000) -> float:
-    """Ultimate information via the integrated two-field system and a mixed
-    central difference of log|C| over the four corners (B +- delta, B +- delta).
+def ultimate_qfi_ode(params: ModelParams, t: float) -> float:
+    """Ultimate information via the integrated two-field system.
 
-    log|C| is exactly quadratic in B1-B2 for this model, so the difference
-    step only needs to beat roundoff; by default it is sized so the corner
-    depression |log C| ~ 1e-4 using the closed form as a scale hint.
+    log|C| = -q (B1-B2)^2 exactly for this model, so one off-diagonal pair
+    (B + delta, B - delta) gives Q_bar = 8 q = -2 log|C| / delta^2.  The
+    step delta is sized so |log C| ~ 1e-4, using the closed form as a scale
+    hint; it only needs to beat roundoff.
     """
     if t == 0:
         return 0.0
-    if delta_b is None:
-        q_hint = max(ultimate_qfi_closed(params, t) / 8.0, 1e-12)
-        delta_b = 0.5 * math.sqrt(1e-4 / q_hint)
+    q_hint = max(ultimate_qfi_closed(params, t) / 8.0, 1e-12)
+    delta_b = 0.5 * math.sqrt(1e-4 / q_hint)
     B = params.B
-    corners = {}
-    for s1 in (+1, -1):
-        for s2 in (+1, -1):
-            sol = gen_me_solution(params, t, B + s1 * delta_b, B + s2 * delta_b,
-                                  n_steps=n_steps)
-            mag = abs(sol.C)
-            if not mag > 0:
-                raise RuntimeError("two-field trace underflowed; reduce delta_b")
-            corners[s1, s2] = math.log(mag)
-    mixed = (corners[1, 1] - corners[1, -1] - corners[-1, 1] + corners[-1, -1]) \
-        / (4.0 * delta_b ** 2)
-    return 4.0 * mixed
+    mag = abs(gen_me_solution(params, t, B + delta_b, B - delta_b).C)
+    if not mag > 0:
+        raise RuntimeError("two-field trace underflowed")
+    return -2.0 * math.log(mag) / delta_b ** 2
 
 
 def scaling_slope(params: ModelParams, t: float, quantity: str = "Q_tilde",

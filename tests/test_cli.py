@@ -195,3 +195,36 @@ def test_verify_passes(tmp_path, capsys):
 def test_verify_inject_error_fails(capsys):
     assert cli.main(["verify", "--inject-error"]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def _simulate(config, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rec_dir = tmp_path / "records"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(rec_dir)]) == 0
+    return str(cfg), sorted(str(p) for p in rec_dir.glob("*.npz"))
+
+
+def test_estimate_single_checkpoint_is_the_final_step(tmp_path, capsys):
+    cfg, recs = _simulate(dict(CONFIG, n_checkpoints=1), tmp_path)
+    out = tmp_path / "est"
+    assert cli.main(["estimate", "--config", cfg, "--out", str(out)] + recs) == 0
+    summary = read_csv_rows(out / "estimate_summary.csv")
+    assert len(summary) == 2
+    assert float(summary[1][0]) == pytest.approx(CONFIG["t_final"], rel=1e-12)
+    header = (out / "posterior_final.csv").read_text().splitlines()[0]
+    kt = float(header.split("kappa_t=")[1])
+    assert kt == pytest.approx(CONFIG["t_final"], rel=1e-12)
+    capsys.readouterr()
+
+
+def test_estimate_rejects_zero_checkpoints(tmp_path, capsys):
+    cfg, recs = _simulate(dict(CONFIG, n_checkpoints=0), tmp_path)
+    rc = cli.main(["estimate", "--config", cfg, "--out", str(tmp_path / "e")] + recs)
+    assert rc == 1
+    assert "magmon: error:" in capsys.readouterr().err
+
+
+def test_verify_rejects_seed_option(capsys):
+    assert cli.main(["verify", "--seed", "1"]) == 1
+    assert "magmon: error:" in capsys.readouterr().err

@@ -153,6 +153,19 @@ def test_gen_me_trace_preserved_on_diagonal():
     assert sol.sigma11 > 1.0  # heating raised the X variance
 
 
+def test_gen_me_swapped_fields_are_conjugate_and_t0_is_initial():
+    # ultimate_qfi_ode reads one off-diagonal corner; this relies on the
+    # swapped pair being the exact complex conjugate, bit for bit
+    p = P(J=1e4)
+    a = gen_me_solution(p, 0.1, 0.003, -0.002)
+    b = gen_me_solution(p, 0.1, -0.002, 0.003)
+    assert a.C == b.C.conjugate() and a.x_m == b.x_m.conjugate()
+    assert a.sigma11 == b.sigma11
+    assert abs(a.C) < 1.0
+    sol = gen_me_solution(p, 0.0, 0.003, -0.002)
+    assert (sol.sigma11, sol.x_m, sol.C) == (1.0, 0.0, 1.0)
+
+
 def test_k_coefficients_positive_and_growing():
     p = P()
     K1a, K2a = k_coefficients(p, 0.1)
