@@ -32,6 +32,17 @@ is a binomial mixture of tilted Wiener paths: sample m* from the initial
 populations and emit dy = 2 sqrt(eta kappa) m* dt + dW.  The score batches
 below use that exact sampler; only the Riemann sum of the source term
 -i gamma [Jy, rho] dt retains time-discretization error.
+
+No step loop is needed for them either.  At zero field only the elementwise
+update acts on rho, so after k steps the unnormalized state is
+
+    R_k,ij = psi_i psi_j G_ij^k exp[ sqrt(eta kappa) (m_i + m_j) Y_k ],
+
+with G the deterministic Gram factor and Y_k the summed increments.  The
+same update multiplies tau, so tau / rho (entrywise) just accumulates the
+source term divided by R_k.  Jy couples only neighbouring m, so that ratio
+is a sum over k of exp(k rate_ij) exp(-+sqrt(eta kappa) Y_k): one matrix
+product over the whole batch of trajectories.
 """
 
 from __future__ import annotations
@@ -63,6 +74,8 @@ __all__ = [
 ]
 
 MAX_DIM = 201
+# Time steps per matrix product in the score sums of _tau_engine.
+_K_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -335,20 +348,37 @@ def _tau_engine(params: ModelParams, grid: TimeGrid, n_traj: int, seed: int,
         raise ValueError("need at least two trajectories")
     d = _check_spin(params.J)
     m = _m_values(params.J, d)
-    alpha = _ladder_coefficients(params.J, m)
-    psi = spin_coherent_x(params.J).amplitudes
-    rho0 = np.outer(psi, psi).astype(complex)
+    log_psi = np.log(spin_coherent_x(params.J).amplitudes)
     n, dt = grid.n_steps, grid.dt
     sqk = math.sqrt(params.eta * params.kappa)
-    mdiff2 = (m[:, None] - m[None, :]) ** 2
-    mplus2 = (m[:, None] + m[None, :]) ** 2
-    gram_det = np.exp(-0.5 * params.kappa * dt * (mdiff2 + params.eta * mplus2))
+    log_gram = -0.5 * params.kappa * dt * ((m[:, None] - m[None, :]) ** 2
+                                           + params.eta * (m[:, None] + m[None, :]) ** 2)
     coef = -0.5 * params.gamma * dt
     two_j = int(round(2 * params.J))
 
+    # Entries (rows, cols) of tau to build: all of them, or only the diagonal
+    # when the score alone is wanted.
+    if want_qfi or want_mean:
+        rows, cols = np.indices((d, d)).reshape(2, -1)
+    else:
+        rows = cols = np.arange(d)
+    diag = np.flatnonzero(rows == cols)
+    log_r_fixed = log_psi[rows] + log_psi[cols] + n * log_gram[rows, cols]
+    m_sum = m[rows] + m[cols]
+    # Source terms from the neighbouring rows i-1 and i+1 of R_k: weight
+    # alpha psi_nb / psi_i, growth rate per step of R_k[nb, j] / R_k[i, j],
+    # and the sign of m_nb - m_i that multiplies sqrt(eta kappa) Y_k.
+    a_pad = np.concatenate(([0.0], _ladder_coefficients(params.J, m), [0.0]))
+    sources = []
+    for step, weight, m_step in ((1, a_pad[rows + 1], -1.0), (-1, -a_pad[rows], 1.0)):
+        nb = np.clip(rows + step, 0, d - 1)
+        rate = log_gram[nb, cols] - log_gram[rows, cols]
+        sources.append((weight * np.exp(log_psi[nb] - log_psi[rows]), rate,
+                        np.maximum(0.0, (n - 1) * rate), m_step))
+
     scores_all = np.empty(n_traj)
     q_all = np.empty(n_traj) if want_qfi else None
-    mean_rho = np.zeros((d, d), dtype=complex) if want_mean else None
+    mean_rho = np.zeros((d, d)) if want_mean else None
 
     for start in range(0, n_traj, chunk_size):
         stop = min(start + chunk_size, n_traj)
@@ -362,33 +392,39 @@ def _tau_engine(params: ModelParams, grid: TimeGrid, n_traj: int, seed: int,
             m_star = params.J - rng.binomial(two_j, 0.5)
             dy[j] = 2.0 * sqk * m_star * dt + rng.normal(0.0, math.sqrt(dt), size=n)
 
-        rho = np.broadcast_to(rho0, (c, d, d)).copy()
-        tau = np.zeros((c, d, d), dtype=complex)
-        for k in range(n):
-            if coef != 0.0:
-                a_col = alpha[None, :, None]
-                a_row = alpha[None, None, :]
-                tau[:, :-1, :] += coef * (a_col * rho[:, 1:, :])
-                tau[:, 1:, :] -= coef * (a_col * rho[:, :-1, :])
-                tau[:, :, 1:] -= coef * (rho[:, :, :-1] * a_row)
-                tau[:, :, :-1] += coef * (rho[:, :, 1:] * a_row)
-            ee = np.exp((sqk * dy[:, k])[:, None] * m[None, :])
-            for mat in (rho, tau):
-                mat *= gram_det[None, :, :]
-                mat *= ee[:, :, None]
-                mat *= ee[:, None, :]
-            tr = np.einsum("bii->b", rho).real
-            inv = (1.0 / tr)[:, None, None]
-            rho *= inv
-            tau *= inv
-            if (k + 1) % 256 == 0:
-                rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-                tau = 0.5 * (tau + tau.conj().transpose(0, 2, 1))
-        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-        tau = 0.5 * (tau + tau.conj().transpose(0, 2, 1))
-        scores = np.einsum("bii->b", tau).real
+        y = np.cumsum(dy, axis=1)
+        y_before = np.hstack((np.zeros((c, 1)), y[:, :-1]))
+        log_r = log_r_fixed + (sqk * y[:, -1])[:, None] * m_sum
+        top = log_r[:, diag].max(axis=1)
+        log_z = top + np.log(np.exp(log_r[:, diag] - top[:, None]).sum(axis=1))
+        log_rho = log_r - log_z[:, None]
+
+        # N = coef rho_n * sum_k (L R_k) / R_k entrywise; tau = N + N^T.  Each
+        # sum_k exp(k rate) exp(+-sqrt(eta kappa) Y_k) is a matrix product,
+        # with both factors scaled to at most 1 and the scales restored in
+        # log space.
+        n_mat = np.zeros((c, rows.size))
+        if coef != 0.0:
+            for weight, rate, rate_top, m_step in sources:
+                a = m_step * sqk * y_before
+                a_top = a.max(axis=1)
+                u = np.exp(a - a_top[:, None])
+                acc = np.zeros((c, rows.size))
+                for k0 in range(0, n, _K_BLOCK):
+                    ks = np.arange(k0, min(k0 + _K_BLOCK, n))[:, None]
+                    acc += u[:, k0:k0 + _K_BLOCK] @ np.exp(ks * rate - rate_top)
+                n_mat += weight * acc * np.exp(log_rho + a_top[:, None] + rate_top)
+            n_mat *= coef
+        if not np.all(np.isfinite(n_mat)):
+            raise RuntimeError("score terms overflow: the Gram factors span more "
+                               "than double precision at this J and horizon")
+        scores = 2.0 * n_mat[:, diag].sum(axis=1)
         scores_all[start:stop] = scores
+        if want_qfi or want_mean:
+            rho = np.exp(log_rho).reshape(c, d, d)
         if want_qfi:
+            n_mat = n_mat.reshape(c, d, d)
+            tau = n_mat + n_mat.transpose(0, 2, 1)
             q_all[start:stop] = _conditional_qfi_samples(rho, tau, scores)
         if want_mean:
             mean_rho += rho.sum(axis=0)

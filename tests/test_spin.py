@@ -208,6 +208,50 @@ def test_fisher_tau_deterministic_and_chunk_invariant():
     assert c[0] == pytest.approx(a[0], rel=1e-12)
 
 
+def _stepped_tau_batch(p, grid, n_traj, seed):
+    """Step-by-step (rho, tau) filter on the score sampler's own draws:
+    returns per-trajectory scores, conditional QFIs and final states."""
+    d = build_spin_operators(p.J).dim
+    jy = build_spin_operators(p.J).jy
+    m = p.J - np.arange(d)
+    n, dt = grid.n_steps, grid.dt
+    sqk = math.sqrt(p.eta * p.kappa)
+    gram = np.exp(-0.5 * p.kappa * dt * ((m[:, None] - m[None, :]) ** 2
+                                         + p.eta * (m[:, None] + m[None, :]) ** 2))
+    scores, qs, rhos = [], [], []
+    for j in range(n_traj):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
+        m_star = p.J - rng.binomial(int(round(2 * p.J)), 0.5)
+        dy = 2.0 * sqk * m_star * dt + rng.normal(0.0, math.sqrt(dt), size=n)
+        rho, tau = spin_coherent_x(p.J).density(), np.zeros((d, d), dtype=complex)
+        for k in range(n):
+            tau += -1j * p.gamma * dt * comm(jy, rho)
+            e = np.exp(sqk * dy[k] * m)
+            factor = gram * np.outer(e, e)
+            tr = np.trace(factor * rho).real
+            rho, tau = factor * rho / tr, factor * tau / tr
+        score = np.trace(tau).real
+        lam, V = np.linalg.eigh(rho)
+        th = V.conj().T @ (tau - score * rho) @ V
+        lam = np.clip(lam, 1e-12, None)
+        qs.append(2.0 * np.sum(np.abs(th) ** 2 / (lam[:, None] + lam[None, :])))
+        scores.append(score)
+        rhos.append(rho)
+    return np.array(scores), np.array(qs), np.mean(rhos, axis=0)
+
+
+@pytest.mark.parametrize("J,eta,t_final", [(2.0, 1.0, 0.3), (3.5, 0.6, 1.0)])
+def test_score_batches_match_stepped_filter(J, eta, t_final):
+    p = ModelParams(J=J, kappa=1.0, gamma=1.3, eta=eta, B=0.0)
+    grid = TimeGrid(t_final=t_final, n_steps=80)
+    scores, qs, mean_rho = _stepped_tau_batch(p, grid, 12, seed=17)
+    info = tau_information(p, grid, n_trajectories=12, seed=17, chunk_size=5)
+    assert info.fisher == pytest.approx(np.mean(scores ** 2), rel=1e-12)
+    assert info.qfi_cond == pytest.approx(np.mean(qs), rel=1e-12)
+    avg = average_conditional(p, grid, n_trajectories=12, seed=17, chunk_size=5)
+    assert np.max(np.abs(avg - mean_rho)) <= 1e-12 * np.max(np.abs(mean_rho))
+
+
 def test_fisher_tau_matches_closed_form_smallJ():
     p = ModelParams(J=4.0, kappa=1.0, gamma=1.0, eta=1.0, B=0.0)
     grid = TimeGrid(t_final=0.2, n_steps=300)
