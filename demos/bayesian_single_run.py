@@ -1,4 +1,4 @@
-"""Simulate photocurrent records and recover the field with the grid posterior.
+"""Simulate photocurrent records and recover the field from their posterior.
 
 A complete inference pass at J = 1e4:
   1. draw a batch of records at a nonzero true field,

@@ -24,7 +24,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +50,13 @@ def _build_parser() -> _Parser:
                             "monitored atomic ensemble")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_config):
+    def common(sp, need_config, threads=True):
         sp.add_argument("--config", required=need_config, default=None,
                         help="flat JSON config file")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads (output order is independent)")
+        if threads:
+            sp.add_argument("--threads", type=int, default=1,
+                            help="worker threads (output order is independent)")
 
     sp = sub.add_parser("info-sweep", help="closed-form information sweep")
     common(sp, need_config=False)
@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
                     help="override the config seed")
 
     sp = sub.add_parser("estimate", help="posterior inference from records")
-    common(sp, need_config=True)
+    common(sp, need_config=True, threads=False)
     sp.add_argument("records", nargs="*", metavar="RECORD",
                     help="record .npz files (zero records echoes the prior)")
 
@@ -141,9 +141,9 @@ def cmd_simulate(args) -> int:
     extras = _read_extras(args.config)
     n_records = int(extras.get("n_records", 4))
     convention = str(extras.get("convention", "main"))
-    batch = records.batch_simulate(params, grid, n_records, seed,
-                                   convention_tag=convention,
-                                   threads=args.threads)
+    # Each record is written as it is drawn, so the batch is never held whole.
+    batch = records._batch_stream(params, grid, n_records, seed, convention,
+                                  args.threads)
     out = _outdir(args)
     files = []
     for k, rec in enumerate(batch):
@@ -155,7 +155,7 @@ def cmd_simulate(args) -> int:
         "seed": seed,
         "n_records": n_records,
         "convention": convention,
-        "uninformative": batch[0].uninformative,
+        "uninformative": params.eta == 0.0,
         "params": params.as_dict(),
         "t_final": grid.t_final,
         "n_steps": grid.n_steps,
@@ -163,7 +163,7 @@ def cmd_simulate(args) -> int:
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True,
                                                   indent=2) + "\n")
-    note = " (uninformative: eta = 0)" if batch[0].uninformative else ""
+    note = " (uninformative: eta = 0)" if params.eta == 0.0 else ""
     print(f"simulate: wrote {n_records} records to {out}{note}")
     return 0
 
@@ -174,6 +174,17 @@ def _checkpoint_steps(n_steps: int, n_checkpoints: int) -> np.ndarray:
     if n_checkpoints == 1:
         return np.array([n_steps])
     return np.unique(np.linspace(1, n_steps, n_checkpoints).round().astype(int))
+
+
+def _load_matching(path, params, grid) -> records.PhotocurrentRecord:
+    rec = records.load_record(path)
+    same_model = rec.params.replace(B=params.B) == params
+    same_grid = (rec.n_steps == grid.n_steps
+                 and math.isclose(rec.t_final, grid.t_final, rel_tol=1e-9))
+    if not (same_model and same_grid):
+        raise ValueError(f"record {path} does not match the config "
+                         "(parameters or grid differ)")
+    return rec
 
 
 def cmd_estimate(args) -> int:
@@ -187,16 +198,7 @@ def cmd_estimate(args) -> int:
         raise ValueError(f"n_checkpoints must be at least 1, got {n_checkpoints}")
     out = _outdir(args)
 
-    recs = [records.load_record(p) for p in args.records]
-    for p, rec in zip(args.records, recs):
-        same_model = rec.params.replace(B=params.B) == params
-        same_grid = (rec.n_steps == grid.n_steps
-                     and math.isclose(rec.t_final, grid.t_final, rel_tol=1e-9))
-        if not (same_model and same_grid):
-            raise ValueError(f"record {p} does not match the config "
-                             "(parameters or grid differ)")
-
-    if not recs:
+    if not args.records:
         post = bayes.posterior([], prior, n_grid)
         est = bayes.estimate(post)
         _write_csv(out / "posterior_final.csv",
@@ -210,57 +212,44 @@ def cmd_estimate(args) -> int:
         print("estimate: no records given; wrote the prior")
         return 0
 
-    kappa = recs[0].params.kappa
     steps = _checkpoint_steps(grid.n_steps, n_checkpoints)
-
-    final_step = int(steps[-1])
-
-    def pooled(k: int):
+    # records are loaded, checked and reduced one at a time
+    table = bayes.coefficient_table(
+        (_load_matching(p, params, grid) for p in args.records), steps)
+    kappa = table.params.kappa
+    n = len(args.records)
+    summary_rows, heatmap_rows, ratio_rows = [], [], []
+    for i, t in enumerate(table.times.tolist()):
+        kt = kappa * t
         # Intermediate checkpoints may legitimately lean on the prior; only
         # the full-horizon posterior enforces the narrow-prior guard.
-        policy = "raise" if k == final_step else "allow"
-        post = bayes.posterior(recs, prior, n_grid, upto_step=int(k),
-                               boundary=policy)
-        return post, bayes.estimate(post)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            pooled_results = list(pool.map(pooled, steps))
-    else:
-        pooled_results = [pooled(k) for k in steps]
-
-    summary_rows = []
-    heatmap_rows = []
-    for k, (post, est) in zip(steps, pooled_results):
-        kt = kappa * post.t
+        post = table.posterior(i, prior, n_grid,
+                               "raise" if i == len(steps) - 1 else "allow")
+        est = bayes.estimate(post)
         summary_rows.append([kt, est.mean, est.sd, est.sd_crb, est.ratio])
-        for bval, dens in zip(post.b_values.tolist(), post.posterior.tolist()):
-            heatmap_rows.append([kt, bval, dens])
+        heatmap_rows.extend([kt, bval, dens] for bval, dens in
+                            zip(post.b_values.tolist(), post.posterior.tolist()))
+        # record-order independent: fsum is exactly rounded
+        ratios = [s.ratio for s in table.summaries(i, prior)]
+        mean = math.fsum(ratios) / n
+        spread = math.sqrt(math.fsum((r - mean) ** 2 for r in ratios) / n)
+        ratio_rows.append([kt, mean, spread, n])
+
     _write_csv(out / "estimate_summary.csv",
-               [f"pooled posterior over {len(recs)} records; prior {prior}"],
+               [f"pooled posterior over {n} records; prior {prior}"],
                ("kappa_t", "mean", "sd", "sd_crb", "ratio"), summary_rows)
     _write_csv(out / "posterior_checkpoints.csv",
-               [f"pooled posterior density over {len(recs)} records"],
+               [f"pooled posterior density over {n} records"],
                ("kappa_t", "B", "posterior"), heatmap_rows)
-
-    final_post, _ = pooled_results[-1]
     _write_csv(out / "posterior_final.csv",
-               [f"pooled posterior at kappa_t={kappa * final_post.t!r}"],
+               [f"pooled posterior at kappa_t={kappa * post.t!r}"],
                ("B", "posterior"),
-               list(zip(final_post.b_values.tolist(),
-                        final_post.posterior.tolist())))
-
-    times, summaries = bayes.saturation_curve(recs, steps, prior, n_grid)
-    ratio_rows = []
-    for t, row in zip(times, summaries):
-        ratios = [s.ratio for s in row]
-        ratio_rows.append([kappa * float(t), float(np.mean(ratios)),
-                           float(np.std(ratios)), len(row)])
+               list(zip(post.b_values.tolist(), post.posterior.tolist())))
     _write_csv(out / "ratio_curve.csv",
                ["per-record sd over the information bound, averaged"],
                ("kappa_t", "mean_ratio", "sd_ratio", "n_records"), ratio_rows)
 
-    print(f"estimate: wrote posterior and ratio curves for {len(recs)} "
+    print(f"estimate: wrote posterior and ratio curves for {n} "
           f"records to {out}")
     return 0
 

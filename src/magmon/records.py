@@ -43,6 +43,7 @@ __all__ = [
     "batch_simulate",
     "record_residuals",
     "filter_coefficients",
+    "filter_split",
     "save_record",
     "load_record",
 ]
@@ -121,10 +122,37 @@ def filter_coefficients(params: ModelParams, grid: TimeGrid):
     return c, K, drift
 
 
-def _generate(params: ModelParams, grid: TimeGrid, rng: np.random.Generator,
-              convention_tag: str) -> np.ndarray:
-    """Vectorized generation of one increment vector under B_true = params.B."""
+def filter_split(params: ModelParams, grid: TimeGrid):
+    """Record-independent half of the filter run at a candidate field B.
+
+    Returns (beta, residual): the innovations of a record dy ("main"
+    convention) at field B are residual(dy) - beta B.  The filter's mean
+    <P>_i(B) = A_i B + Psi_i, with A driven by the field drift and Psi by
+    the record through the same recursion, damped by phi_i = 1 - c_i K_i dt.
+    With Pi the running product of phi (at least 1/(1 + 4 eta J)), A_i and
+    Psi_i are Pi_i times prefix sums of -drift_j / Pi_{j+1} and
+    K_j dy_j / Pi_{j+1}; r_i = dy_i - c_i Psi_i dt and beta_i = c_i A_i dt.
+    """
     c, K, drift = filter_coefficients(params, grid)
+    Pi = np.cumprod(1.0 - c * K * grid.dt)              # Pi_1 .. Pi_n
+    pull = c * np.concatenate(([1.0], Pi[:-1])) * grid.dt
+    gain = K / Pi
+
+    def residual(dy: np.ndarray) -> np.ndarray:
+        r = dy.copy()
+        r[1:] -= pull[1:] * np.cumsum(gain[:-1] * dy[:-1])
+        return r
+
+    beta = pull * np.concatenate(([0.0], np.cumsum(-drift / Pi)[:-1]))
+    return beta, residual
+
+
+def _draw(params: ModelParams, grid: TimeGrid, coefficients, seed: int,
+          convention_tag: str, seedseq: np.random.SeedSequence,
+          spawn_key: tuple) -> PhotocurrentRecord:
+    """Vectorized generation of one record under B_true = params.B."""
+    c, K, drift = coefficients
+    rng = np.random.default_rng(seedseq)
     dW = rng.normal(0.0, math.sqrt(grid.dt), size=grid.n_steps)
     # Under the true field the innovations are the Wiener increments
     # themselves, so <P> accumulates by a plain prefix sum.
@@ -133,7 +161,10 @@ def _generate(params: ModelParams, grid: TimeGrid, rng: np.random.Generator,
     dy = c * mean_p * grid.dt + dW
     if convention_tag == "appc":
         dy = dy / math.sqrt(2.0)
-    return dy
+    return PhotocurrentRecord(increments=dy, dt=grid.dt, t_final=grid.t_final,
+                              params=params, seed=int(seed),
+                              spawn_key=tuple(spawn_key),
+                              convention_tag=convention_tag)
 
 
 def simulate_record(params: ModelParams, grid: TimeGrid, seed: int,
@@ -141,15 +172,35 @@ def simulate_record(params: ModelParams, grid: TimeGrid, seed: int,
                     _seedseq: np.random.SeedSequence | None = None,
                     _spawn_key: tuple = ()) -> PhotocurrentRecord:
     """Simulate one photocurrent record; deterministic in (params, grid, seed)."""
-    if convention_tag not in CONVENTIONS:
-        raise ValueError(f"unknown convention_tag {convention_tag!r}")
     ss = _seedseq if _seedseq is not None else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(ss)
-    dy = _generate(params, grid, rng, convention_tag)
-    return PhotocurrentRecord(increments=dy, dt=grid.dt, t_final=grid.t_final,
-                              params=params, seed=int(seed),
-                              spawn_key=tuple(_spawn_key),
-                              convention_tag=convention_tag)
+    return _draw(params, grid, filter_coefficients(params, grid), seed,
+                 convention_tag, ss, _spawn_key)
+
+
+_POOL_CHUNK = 16   # records drawn ahead by a thread pool
+
+
+def _batch_stream(params: ModelParams, grid: TimeGrid, n_records: int,
+                  seed_base: int, convention_tag: str, threads: int):
+    """The records of batch_simulate in order, drawn as they are consumed:
+    at most _POOL_CHUNK of them exist at once with a pool, one without."""
+    if n_records < 1:
+        raise ValueError("n_records must be >= 1")
+    coefficients = filter_coefficients(params, grid)
+
+    def make(k: int) -> PhotocurrentRecord:
+        ss = np.random.SeedSequence(entropy=seed_base, spawn_key=(k,))
+        return _draw(params, grid, coefficients, seed_base, convention_tag,
+                     ss, (k,))
+
+    def pooled():
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for start in range(0, n_records, _POOL_CHUNK):
+                yield from pool.map(make, range(start, min(start + _POOL_CHUNK,
+                                                           n_records)))
+
+    return pooled() if threads > 1 else map(make, range(n_records))
 
 
 def batch_simulate(params: ModelParams, grid: TimeGrid, n_records: int,
@@ -158,39 +209,20 @@ def batch_simulate(params: ModelParams, grid: TimeGrid, n_records: int,
     """Independent records with per-record substreams spawned from seed_base.
 
     Record k uses SeedSequence(seed_base, spawn_key=(k,)), so the collection
-    is reproducible as a whole and each record is reproducible on its own.
+    is reproducible as a whole and each record is reproducible on its own:
+    it is byte-identical to simulate_record with that seed sequence.  The
+    filter coefficients are computed once for the whole batch.
     """
-    if n_records < 1:
-        raise ValueError("n_records must be >= 1")
-    keys = list(range(n_records))
-
-    def make(k: int) -> PhotocurrentRecord:
-        ss = np.random.SeedSequence(entropy=seed_base, spawn_key=(k,))
-        return simulate_record(params, grid, seed_base, convention_tag,
-                               _seedseq=ss, _spawn_key=(k,))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(make, keys))
-    return [make(k) for k in keys]
+    return list(_batch_stream(params, grid, n_records, seed_base,
+                              convention_tag, threads))
 
 
 def record_residuals(record: PhotocurrentRecord) -> np.ndarray:
     """Normalized innovations (dy_i - m_i dt)/sqrt(dt) under the generating
     parameters; i.i.d. standard normal when the record is self-consistent."""
-    params, grid = record.params, record.grid()
-    c, K, drift = filter_coefficients(params, grid)
-    dy = record.as_main_convention()
-    dt = grid.dt
-    n = grid.n_steps
-    res = np.empty(n)
-    p = 0.0
-    for i in range(n):
-        dw = dy[i] - c[i] * p * dt
-        res[i] = dw
-        p = p - params.B * drift[i] + K[i] * dw
-    return res / math.sqrt(dt)
+    beta, residual = filter_split(record.params, record.grid())
+    r = residual(record.as_main_convention())
+    return (r - beta * record.params.B) / math.sqrt(record.grid().dt)
 
 
 # -- persistence ---------------------------------------------------------------

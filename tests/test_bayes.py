@@ -8,6 +8,7 @@ facts as oracles.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -150,3 +151,75 @@ def test_saturation_curve_shape():
     for j in range(3):
         sds = [summaries[i][j].sd for i in range(len(steps))]
         assert sds[0] > sds[-1]
+
+
+def test_sub_cell_posterior_moments_are_exact():
+    # Four J = 1e4 records on a 41-point grid: the pooled posterior is under a
+    # quarter of a cell wide, where grid quadrature misplaces mean and sd.
+    records = batch_simulate(P.replace(B=2e-3), GRID, n_records=4, seed_base=5)
+    parts = [quadratic_coefficients(r) for r in records]
+    S_rA = math.fsum(p[1] for p in parts)
+    S_AA = math.fsum(p[2] for p in parts)
+    cell = (PRIOR[1] - PRIOR[0]) / 40
+    assert 1.0 / math.sqrt(S_AA) < 0.25 * cell
+    summ = estimate(posterior(records, PRIOR, n_grid=41))
+    assert summ.sd == pytest.approx(1.0 / math.sqrt(S_AA), rel=1e-9)
+    assert summ.mean == pytest.approx(S_rA / S_AA, rel=1e-9)
+
+
+def _mp_moments(S_rA, S_AA, lo, hi):
+    """Mean and sd of exp(S_rA B - S_AA B^2 / 2) on [lo, hi] from the
+    textbook truncated-normal formulas, in 50-digit arithmetic."""
+    with mp.workdps(50):
+        S_rA, S_AA, lo, hi = (mp.mpf(x) for x in (S_rA, S_AA, lo, hi))
+        mu, s = S_rA / S_AA, 1 / mp.sqrt(S_AA)
+        a, b = (lo - mu) / s, (hi - mu) / s
+        r2 = mp.sqrt(2)
+        if a >= 0:      # take the mass from the tail that does not cancel
+            Z = (mp.erfc(a / r2) - mp.erfc(b / r2)) / 2
+        elif b <= 0:
+            Z = (mp.erfc(-b / r2) - mp.erfc(-a / r2)) / 2
+        else:
+            Z = (mp.erf(b / r2) - mp.erf(a / r2)) / 2
+        m = (mp.npdf(a) - mp.npdf(b)) / Z
+        v = 1 + (a * mp.npdf(a) - b * mp.npdf(b)) / Z - m * m
+        return float(mu + s * m), float(s * mp.sqrt(v))
+
+
+def _regime(name):
+    rec = simulate_record(P.replace(B=2e-3), GRID, seed=3)
+    if name == "S_AA = 0":           # beta_0 = 0: one step carries nothing
+        return posterior([rec], PRIOR, upto_step=1)
+    if name == "far wider than the prior":
+        return posterior([rec], PRIOR, upto_step=10, boundary="allow")
+    if name == "narrower than a cell":
+        records = batch_simulate(P.replace(B=2e-3), GRID, 4, seed_base=5)
+        return posterior(records, PRIOR, n_grid=41)
+    far = simulate_record(P.replace(B=0.05), GRID, seed=1)
+    return posterior([far], PRIOR, boundary="allow")
+
+
+@pytest.mark.parametrize("name", ["S_AA = 0", "far wider than the prior",
+                                  "narrower than a cell",
+                                  "centre far outside the prior"])
+def test_estimate_matches_mpmath(name):
+    post = _regime(name)
+    _, S_rA, S_AA = post.coefficients
+    summ = estimate(post)
+    lo, hi = PRIOR
+    if name == "S_AA = 0":
+        assert S_AA == 0.0
+        assert (summ.mean, summ.sd) == ((lo + hi) / 2, (hi - lo) / math.sqrt(12.0))
+        return
+    sd_prior = (hi - lo) / math.sqrt(12.0)
+    width = 1.0 / math.sqrt(S_AA)
+    if name == "far wider than the prior":
+        assert width > 1e3 * (hi - lo)
+    elif name == "narrower than a cell":
+        assert width < (hi - lo) / 40
+    else:
+        assert S_rA / S_AA > hi + 100 * width
+    mean, sd = _mp_moments(S_rA, S_AA, lo, hi)
+    assert sd <= sd_prior
+    assert abs(summ.mean - mean) <= 1e-9 * sd
+    assert summ.sd == pytest.approx(sd, rel=1e-9)

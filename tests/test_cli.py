@@ -228,3 +228,26 @@ def test_estimate_rejects_zero_checkpoints(tmp_path, capsys):
 def test_verify_rejects_seed_option(capsys):
     assert cli.main(["verify", "--seed", "1"]) == 1
     assert "magmon: error:" in capsys.readouterr().err
+
+
+def test_estimate_csvs_ignore_record_order(config_path, tmp_path, capsys):
+    rec_dir = tmp_path / "records"
+    assert cli.main(["simulate", "--config", config_path,
+                     "--out", str(rec_dir)]) == 0
+    paths = sorted(str(p) for p in rec_dir.glob("*.npz"))
+    outs = [tmp_path / name for name in ("a", "again", "reversed")]
+    for out, order in zip(outs, (paths, paths, paths[::-1])):
+        assert cli.main(["estimate", "--config", config_path,
+                         "--out", str(out)] + order) == 0
+    for name in ("estimate_summary.csv", "posterior_checkpoints.csv",
+                 "posterior_final.csv", "ratio_curve.csv"):
+        first = (outs[0] / name).read_bytes()
+        assert all((out / name).read_bytes() == first for out in outs[1:]), name
+    capsys.readouterr()
+
+
+def test_estimate_rejects_threads_option(config_path, tmp_path, capsys):
+    rc = cli.main(["estimate", "--config", config_path,
+                   "--out", str(tmp_path / "e"), "--threads", "2"])
+    assert rc == 1
+    assert "magmon: error:" in capsys.readouterr().err

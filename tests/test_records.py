@@ -126,3 +126,27 @@ def test_grid_reconstruction():
     assert g.n_steps == GRID.n_steps
     assert g.t_final == GRID.t_final
     assert g.dt == pytest.approx(GRID.dt, rel=1e-15)
+
+
+@pytest.mark.parametrize("convention", ["main", "appc"])
+def test_residuals_recover_the_generating_draws(convention):
+    # Re-filtered at the generating field, the innovations are the Wiener
+    # increments that made the record, draw for draw.
+    rec = simulate_record(P.replace(B=5e-3), GRID, seed=77,
+                          convention_tag=convention)
+    draws = np.random.default_rng(np.random.SeedSequence(77)).normal(
+        0.0, math.sqrt(GRID.dt), GRID.n_steps)
+    np.testing.assert_allclose(record_residuals(rec) * math.sqrt(GRID.dt),
+                               draws, rtol=1e-9)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_batch_record_is_the_single_record_of_its_stream(threads):
+    # 17 records: a thread pool draws them in more than one chunk
+    batch = batch_simulate(P, GRID, n_records=17, seed_base=21, threads=threads)
+    for k, rec in enumerate(batch):
+        alone = simulate_record(P, GRID, 21,
+                                _seedseq=np.random.SeedSequence(21, spawn_key=(k,)),
+                                _spawn_key=(k,))
+        assert rec.increments.tobytes() == alone.increments.tobytes()
+        assert rec.spawn_key == alone.spawn_key == (k,)
