@@ -7,12 +7,10 @@ integrated-flow cross-checks, photocurrent simulation, Bayesian field
 inference, and brute-force finite-spin benchmarks.
 """
 
-from .model import (ModelParams, TimeGrid, MomentMatrices, jbar,
-                    moment_matrices, validity_report, load_config, save_config)
-from .filtering import (GaussianConditionalState, vacuum_state,
-                        var_p_closed, var_p_ode,
-                        sensitivity_closed, sensitivity_ode,
-                        step_conditional_mean, cov_flow_matrix)
+from .model import (ModelParams, TimeGrid, jbar, validity_report,
+                    load_config, save_config)
+from .filtering import (var_p_closed, var_p_ode,
+                        sensitivity_closed, sensitivity_ode)
 from .information import (InformationReport, REPORT_COLUMNS,
                           fisher_record_closed, fisher_record_largeJ,
                           fisher_record_smallt, fisher_record_numeric,
@@ -23,20 +21,17 @@ from .records import (PhotocurrentRecord, simulate_record, batch_simulate,
                       record_residuals, save_record, load_record)
 from .bayes import (PosteriorGrid, EstimateSummary, log_likelihood,
                     posterior, estimate, saturation_curve)
-from .spin import (SpinOperators, SpinCoherentState, DensityLikeMatrix,
-                   TauInformation, build_spin_operators, spin_coherent_x,
-                   evolve_unconditional, evolve_conditional, fisher_tau,
-                   tau_information, average_conditional, two_field_trace,
-                   ultimate_qfi_finiteJ)
+from .spin import (SpinOperators, SpinCoherentState, TauInformation,
+                   build_spin_operators, spin_coherent_x, evolve_unconditional,
+                   evolve_conditional, fisher_tau, tau_information,
+                   average_conditional, two_field_trace, ultimate_qfi_finiteJ)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelParams", "TimeGrid", "MomentMatrices", "jbar", "moment_matrices",
-    "validity_report", "load_config", "save_config",
-    "GaussianConditionalState", "vacuum_state",
+    "ModelParams", "TimeGrid", "jbar", "validity_report", "load_config",
+    "save_config",
     "var_p_closed", "var_p_ode", "sensitivity_closed", "sensitivity_ode",
-    "step_conditional_mean", "cov_flow_matrix",
     "InformationReport", "REPORT_COLUMNS", "fisher_record_closed",
     "fisher_record_largeJ", "fisher_record_smallt", "fisher_record_numeric",
     "qfi_conditional", "qfi_conditional_numeric", "k_coefficients",
@@ -46,10 +41,9 @@ __all__ = [
     "record_residuals", "save_record", "load_record",
     "PosteriorGrid", "EstimateSummary", "log_likelihood", "posterior",
     "estimate", "saturation_curve",
-    "SpinOperators", "SpinCoherentState", "DensityLikeMatrix",
-    "TauInformation", "build_spin_operators", "spin_coherent_x",
-    "evolve_unconditional", "evolve_conditional", "fisher_tau",
-    "tau_information", "average_conditional", "two_field_trace",
-    "ultimate_qfi_finiteJ",
+    "SpinOperators", "SpinCoherentState", "TauInformation",
+    "build_spin_operators", "spin_coherent_x", "evolve_unconditional",
+    "evolve_conditional", "fisher_tau", "tau_information",
+    "average_conditional", "two_field_trace", "ultimate_qfi_finiteJ",
     "__version__",
 ]

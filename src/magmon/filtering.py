@@ -1,5 +1,5 @@
-"""Conditional Gaussian dynamics: variance flow, first-moment stepping, and the
-field-sensitivity ODE.
+"""Conditional Gaussian dynamics: closed forms and the integrated flow of the
+conditional variance and the field sensitivity.
 
 The conditional state of the effective mode stays Gaussian, with a
 deterministic covariance (the Riccati flow does not depend on the measurement
@@ -25,48 +25,26 @@ rk4, with this stability rule for every Gaussian flow:
 
 evaluated at the cell start, where the rates are largest.  The closed-form
 variance only sizes the substeps; it never enters the right-hand side.
+
+The mean <P>_c along a given record is filtered by records.filter_split.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelParams, TimeGrid, jbar
 
 __all__ = [
-    "GaussianConditionalState",
     "var_p_closed",
     "var_p_ode",
     "sensitivity_closed",
     "sensitivity_ode",
-    "step_conditional_mean",
-    "cov_flow_matrix",
-    "vacuum_state",
     "rk4",
     "gaussian_flow",
 ]
-
-
-@dataclass(frozen=True)
-class GaussianConditionalState:
-    """First moments and 2x2 covariance (sigma = 2*Cov convention) at time t."""
-
-    mean_x: float
-    mean_p: float
-    cov: np.ndarray
-    t: float
-
-    def var_p(self) -> float:
-        """Var_c[P] = sigma_22 / 2."""
-        return float(self.cov[1, 1]) / 2.0
-
-
-def vacuum_state() -> GaussianConditionalState:
-    """Initial condition: zero means, identity covariance (vacuum)."""
-    return GaussianConditionalState(mean_x=0.0, mean_p=0.0, cov=np.eye(2), t=0.0)
 
 
 def var_p_closed(params: ModelParams, t):
@@ -146,21 +124,19 @@ def gaussian_flow(params: ModelParams, grid: TimeGrid):
     return tuple(np.array(flow).T)
 
 
-def var_p_ode(params: ModelParams, grid: TimeGrid, check_tol: float = 1e-6) -> np.ndarray:
+def var_p_ode(params: ModelParams, grid: TimeGrid) -> np.ndarray:
     """Var_c[P] at all grid nodes, from the integrated Riccati flow.
 
     Raises RuntimeError if the result disagrees with the closed form by more
-    than check_tol in relative terms (set check_tol=None to skip the
-    cross-check).
+    than 1e-6 in relative terms.
     """
     out = gaussian_flow(params, grid)[0]
-    if check_tol is not None:
-        ref = var_p_closed(params, grid.times())
-        rel = np.max(np.abs(out - ref) / ref)
-        if rel > check_tol:
-            raise RuntimeError(
-                f"variance ODE disagrees with closed form: rel err {rel:.3e} "
-                f"> {check_tol:.1e}; refine the grid")
+    ref = var_p_closed(params, grid.times())
+    rel = np.max(np.abs(out - ref) / ref)
+    if rel > 1e-6:
+        raise RuntimeError(
+            f"variance ODE disagrees with closed form: rel err {rel:.3e} "
+            f"> 1.0e-06; refine the grid")
     return out
 
 
@@ -172,55 +148,3 @@ def sensitivity_ode(params: ModelParams, grid: TimeGrid) -> np.ndarray:
     (units 1/Gauss).
     """
     return gaussian_flow(params, grid)[1]
-
-
-def step_conditional_mean(state: GaussianConditionalState, params: ModelParams,
-                          dt: float, dw: float) -> GaussianConditionalState:
-    """One Euler-Maruyama step of the conditional means, dw ~ Normal(0, dt).
-
-    <P> picks up the field drift and the innovation gain 2*Var*sqrt(eta k Jbar);
-    <X> couples to the record only through sigma_12, which stays zero from the
-    model's initial condition, so it is carried but inert.  The covariance is
-    advanced by one RK4 step of the matrix Riccati flow.
-    """
-    jb = jbar(params, state.t)
-    root = math.sqrt(params.eta * params.kappa * jb)
-    sig = state.cov
-    mean_p = state.mean_p - params.gamma * params.B * math.sqrt(jb) * dt \
-        + sig[1, 1] * root * dw
-    mean_x = state.mean_x + sig[0, 1] * root * dw
-    s11, s12, s22 = rk4(_cov_rhs(params), [sig[0, 0], sig[0, 1], sig[1, 1]],
-                        [state.t, state.t + dt], lambda t0, _: 1)[-1]
-    return GaussianConditionalState(mean_x=mean_x, mean_p=mean_p,
-                                    cov=np.array([[s11, s12], [s12, s22]]),
-                                    t=state.t + dt)
-
-
-def _cov_rhs(params: ModelParams):
-    """dsigma/dt = D - sigma M M^T sigma for this model's D, M, on the state
-    (sigma11, sigma12, sigma22)."""
-    ek, J, eta = params.kappa, params.J, params.eta
-
-    def f(t, y):
-        s11, s12, s22 = y
-        jb = J * math.exp(-ek * t / 2.0)
-        mm = 2.0 * eta * ek * jb  # (M M^T)_22, the only entry
-        return [2.0 * ek * jb - mm * s12 * s12, -mm * s12 * s22, -mm * s22 * s22]
-
-    return f
-
-
-def cov_flow_matrix(params: ModelParams, grid: TimeGrid) -> np.ndarray:
-    """Full 2x2 Riccati flow from sigma(0)=I; returns shape (n_steps+1, 2, 2).
-
-    Raises RuntimeError on loss of positive-definiteness, which indicates a
-    step-size failure (it cannot happen for a converged integration).
-    """
-    times = grid.times()
-    s11, s12, s22 = np.array(rk4(_cov_rhs(params), [1.0, 0.0, 1.0], times,
-                                 lambda t0, dt: _substeps(params, t0, dt))).T
-    bad = np.flatnonzero(~((s11 > 0) & (s11 * s22 - s12 ** 2 > 0)))
-    if bad.size:
-        raise RuntimeError(f"covariance lost positive-definiteness at "
-                           f"t={times[bad[0]]:.6g}; refine the grid")
-    return np.array([[s11, s12], [s12, s22]]).transpose(2, 0, 1)

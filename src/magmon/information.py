@@ -139,22 +139,22 @@ def fisher_record_smallt(params: ModelParams, t):
     return out if out.ndim else float(out)
 
 
-def fisher_record_numeric(params: ModelParams, grid, rel_tol: float = 1e-6) -> float:
+def fisher_record_numeric(params: ModelParams, grid) -> float:
     """Record FI as the F component of the joint flow filtering.gaussian_flow.
 
     There dF/dt = 4 eta kappa Jbar s^2 is integrated together with the
     sensitivity s and the variance that damps it.  Raises RuntimeError when
-    the result differs from the closed form by more than rel_tol (the defining
-    convention check); pass rel_tol=None to get the raw number.
+    the result differs from the closed form by more than 1e-6 in relative
+    terms (the defining convention check).
     """
     F = gaussian_flow(params, grid)[2][-1]
     closed = fisher_record_closed(params, grid.t_final)
-    if rel_tol is not None and closed > 0:
+    if closed > 0:
         rel = abs(F - closed) / closed
-        if rel > rel_tol:
+        if rel > 1e-6:
             raise RuntimeError(
                 f"record-FI quadrature disagrees with closed form: rel err "
-                f"{rel:.3e} > {rel_tol:.1e}")
+                f"{rel:.3e} > 1.0e-06")
     return F
 
 

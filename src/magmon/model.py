@@ -41,9 +41,7 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "TimeGrid",
-    "MomentMatrices",
     "jbar",
-    "moment_matrices",
     "validity_report",
     "load_config",
     "save_config",
@@ -108,16 +106,6 @@ class TimeGrid:
         return np.linspace(0.0, self.t_final, self.n_steps + 1)
 
 
-@dataclass(frozen=True)
-class MomentMatrices:
-    """Drift/diffusion/measurement matrices of the moment equations at one time."""
-
-    D: np.ndarray  # 2x2 diffusion, units 1/time
-    M: np.ndarray  # 2x1 measurement, units 1/sqrt(time)
-    u: np.ndarray  # drift 2-vector, units 1/time
-    t: float = 0.0
-
-
 def jbar(params: ModelParams, t):
     """Damped mean spin Jbar(t) = J exp(-kappa t / 2).
 
@@ -128,15 +116,6 @@ def jbar(params: ModelParams, t):
         raise ValueError("time must be non-negative")
     out = params.J * np.exp(-params.kappa * t / 2.0)
     return out if out.ndim else float(out)
-
-
-def moment_matrices(params: ModelParams, t: float) -> MomentMatrices:
-    """Evaluate D, M, u of the matrix moment equations at time t."""
-    jb = jbar(params, t)
-    D = np.array([[2.0 * params.kappa * jb, 0.0], [0.0, 0.0]])
-    M = np.array([[0.0], [np.sqrt(2.0 * params.eta * params.kappa * jb)]])
-    u = np.array([0.0, -params.gamma * params.B * np.sqrt(jb)])
-    return MomentMatrices(D=D, M=M, u=u, t=float(t))
 
 
 def validity_report(params: ModelParams, t: float,

@@ -60,7 +60,6 @@ from .records import PhotocurrentRecord
 __all__ = [
     "SpinOperators",
     "SpinCoherentState",
-    "DensityLikeMatrix",
     "TauInformation",
     "build_spin_operators",
     "spin_coherent_x",
@@ -101,34 +100,6 @@ class SpinCoherentState:
 
     def density(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes).astype(complex)
-
-
-@dataclass(frozen=True)
-class DensityLikeMatrix:
-    """A labelled matrix in the Jz basis: a state ("rho"), a completed state
-    derivative ("tau", Hermitian but traceful), or a two-field generalized
-    state ("rho_bar", not Hermitian away from the diagonal field point)."""
-
-    matrix: np.ndarray
-    role: str
-    t: float
-
-    def __post_init__(self):
-        if self.role not in ("rho", "tau", "rho_bar"):
-            raise ValueError(f"unknown role {self.role!r}")
-
-    def validate(self, atol: float = 1e-9) -> None:
-        mat = self.matrix
-        if self.role in ("rho", "tau"):
-            if np.abs(mat - mat.conj().T).max() > atol:
-                raise ValueError(f"{self.role} matrix is not Hermitian")
-        if self.role == "rho":
-            tr = complex(np.trace(mat))
-            if abs(tr - 1.0) > atol:
-                raise ValueError(f"rho trace deviates from 1 by {abs(tr-1.0):.3g}")
-            lam = np.linalg.eigvalsh(mat)
-            if lam.min() < -1e-8:
-                raise ValueError(f"rho has eigenvalue {lam.min():.3g} < -1e-8")
 
 
 def _check_spin(J: float) -> int:
@@ -177,12 +148,7 @@ def spin_coherent_x(J: float) -> SpinCoherentState:
 
 
 def _as_density(rho0, d: int) -> np.ndarray:
-    if isinstance(rho0, SpinCoherentState):
-        rho = rho0.density()
-    elif isinstance(rho0, DensityLikeMatrix):
-        rho = np.asarray(rho0.matrix, dtype=complex)
-    else:
-        rho = np.asarray(rho0, dtype=complex)
+    rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (d, d):
         raise ValueError(f"initial state has shape {rho.shape}, expected {(d, d)}")
     tr = complex(np.trace(rho))
@@ -238,8 +204,7 @@ def _half_step_factors(params: ModelParams, dt: float, m: np.ndarray):
 def evolve_conditional(rho0, params: ModelParams, grid: TimeGrid,
                        seed: int | None = None,
                        noise: np.ndarray | None = None,
-                       record=None,
-                       positivity_checks: int = 20):
+                       record=None):
     """Single conditional trajectory; returns (nodes, increments).
 
     Exactly one noise source must be given: a seed (innovations are drawn),
@@ -248,7 +213,8 @@ def evolve_conditional(rho0, params: ModelParams, grid: TimeGrid,
     to the main current convention first).  When generating, increments obey
     dy = 2 sqrt(eta kappa) <Jz> dt + dW.  With eta = 0 the measurement factor
     collapses to the deterministic dephasing and the trajectory coincides
-    with evolve_unconditional.
+    with evolve_unconditional.  Positivity is checked every max(1, n // 20)
+    steps and at the last one.
     """
     sources = sum(x is not None for x in (seed, noise, record))
     if sources != 1:
@@ -279,7 +245,7 @@ def evolve_conditional(rho0, params: ModelParams, grid: TimeGrid,
     sqk = math.sqrt(params.eta * params.kappa)
     half = _half_step_factors(params, dt, m)
     U = _jy_rotation(params.J, params.gamma * params.B * dt)
-    check_every = max(1, n // max(positivity_checks, 1))
+    check_every = max(1, n // 20)
 
     out = np.empty((n + 1, d, d), dtype=complex)
     out[0] = rho
@@ -502,29 +468,25 @@ def two_field_trace(params: ModelParams, t: float, b1: float, b2: float,
 
 
 def ultimate_qfi_finiteJ(params: ModelParams, t: float,
-                         delta_b: float | None = None,
                          n_steps: int = 2000) -> float:
     """Measurement-optimized information by central differencing the
     log-trace of the two-field evolution around the working field.
 
-    The step delta_b defaults to a value that makes the off-diagonal
-    log-trace about -1e-4, using the closed-form large-J value as a scale
-    hint; pass delta_b explicitly to override.
+    The field step delta_b makes the off-diagonal log-trace about -1e-4,
+    using the closed-form large-J value as a scale hint.
     """
-    if delta_b is None:
-        q_hint = max(ultimate_qfi_closed(params, t) / 8.0, 1e-12)
-        delta_b = 0.5 * math.sqrt(1e-4 / q_hint)
+    q_hint = max(ultimate_qfi_closed(params, t) / 8.0, 1e-12)
+    delta_b = 0.5 * math.sqrt(1e-4 / q_hint)
     B = params.B
     tr_diag = two_field_trace(params, t, B + delta_b, B + delta_b, n_steps)
     if abs(tr_diag - 1.0) > 1e-9:
         raise RuntimeError(
             f"diagonal trace deviates from 1 by {abs(tr_diag - 1.0):.3g}")
-    tr_pm = two_field_trace(params, t, B + delta_b, B - delta_b, n_steps)
-    tr_mp = two_field_trace(params, t, B - delta_b, B + delta_b, n_steps)
-    mag_pm, mag_mp = abs(tr_pm), abs(tr_mp)
-    if min(mag_pm, mag_mp) < 1e-12:
-        raise RuntimeError("off-diagonal trace underflow; decrease delta_b")
-    # Four interlocking corners of the mixed second difference of log|Tr|;
-    # the two diagonal corners contribute log 1 = 0, leaving
-    # Q = -(L(+,-) + L(-,+)) / delta^2.
-    return -(math.log(mag_pm) + math.log(mag_mp)) / (delta_b ** 2)
+    mag = abs(two_field_trace(params, t, B + delta_b, B - delta_b, n_steps))
+    if mag < 1e-12:
+        raise RuntimeError("off-diagonal trace underflow")
+    # Four corners of the mixed second difference of log|Tr|: the diagonal
+    # ones are log 1 = 0, and the swapped pair (-, +) is the complex
+    # conjugate of (+, -), because the dephasing factor is real and
+    # symmetric and rho stays Hermitian.  So Q = -2 log|Tr(+, -)| / delta^2.
+    return -2.0 * math.log(mag) / (delta_b ** 2)

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from magmon.bayes import estimate, posterior, saturation_curve
+from magmon.checks import closed_vs_integrated
 from magmon.filtering import var_p_closed
-from magmon.information import (fisher_record_closed, fisher_record_numeric,
-                                qfi_conditional, qfi_conditional_numeric,
+from magmon.information import (fisher_record_closed, qfi_conditional,
                                 scaling_slope, ultimate_qfi_closed,
                                 ultimate_qfi_ode)
 from magmon.model import ModelParams, TimeGrid
@@ -38,16 +38,7 @@ def _line(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_closed_forms_match_ode_routes():
     t0 = time.monotonic()
-    worst_f = worst_q = 0.0
-    for eta in ETA_GRID:
-        for J in J_GRID:
-            for kt in KT_GRID:
-                p = P(J, eta)
-                grid = TimeGrid(t_final=kt, n_steps=400)
-                f_ref = fisher_record_closed(p, kt)
-                q_ref = qfi_conditional(p, kt)
-                worst_f = max(worst_f, abs(fisher_record_numeric(p, grid) / f_ref - 1.0))
-                worst_q = max(worst_q, abs(qfi_conditional_numeric(p, grid) / q_ref - 1.0))
+    worst_f, worst_q = closed_vs_integrated(ETA_GRID, J_GRID, KT_GRID)
     elapsed = time.monotonic() - t0
     ok = worst_f <= 1e-6 and worst_q <= 1e-6 and elapsed < 60.0
     _line(1, ok, f"27-point closed-vs-ODE residuals: F {worst_f:.2e}, "

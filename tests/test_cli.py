@@ -182,6 +182,23 @@ def test_estimate_without_records_echoes_prior(config_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+# The report's check list, in order: the benchmark counts on all twelve.
+VERIFY_INVARIANTS = [
+    "fisher_record closed vs integrated",
+    "qfi_conditional closed vs integrated",
+    "Q_tilde additivity identity",
+    "Q_tilde(eta=1) equals Q_bar",
+    "ultimate closed vs two-field flow",
+    "spin commutator algebra",
+    "coherent state <Jx> = J",
+    "unconditional <Jx> decay law",
+    "two-field diagonal trace",
+    "finite-spin ultimate information gap (J=20)",
+    "record determinism",
+    "posterior normalization and permutation invariance",
+]
+
+
 def test_verify_passes(tmp_path, capsys):
     out = tmp_path / "verify"
     assert cli.main(["verify", "--out", str(out)]) == 0
@@ -190,6 +207,7 @@ def test_verify_passes(tmp_path, capsys):
     report = json.loads((out / "verify_report.json").read_text())
     assert report["all_passed"] is True
     assert all(chk["verdict"] == "pass" for chk in report["checks"])
+    assert [chk["invariant"] for chk in report["checks"]] == VERIFY_INVARIANTS
 
 
 def test_verify_inject_error_fails(capsys):

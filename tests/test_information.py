@@ -61,7 +61,7 @@ def test_fisher_vs_integrated_flow():
     p = P(J=1e3, eta=0.7)
     grid = TimeGrid(t_final=1.0, n_steps=300)
     # fisher_record_numeric raises if its own result drifts off the closed form
-    f = fisher_record_numeric(p, grid, rel_tol=1e-6)
+    f = fisher_record_numeric(p, grid)
     assert f == pytest.approx(fisher_record_closed(p, 1.0), rel=1e-6)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from magmon.model import (ModelParams, TimeGrid, jbar, load_config,
-                          moment_matrices, save_config, validity_report)
+                          save_config, validity_report)
 
 
 def test_params_validation():
@@ -43,17 +43,6 @@ def test_time_grid():
         TimeGrid(t_final=0.0, n_steps=4)
     with pytest.raises(ValueError):
         TimeGrid(t_final=1.0, n_steps=0)
-
-
-def test_moment_matrices_shapes_and_values():
-    p = ModelParams(J=100.0, kappa=1.0, gamma=2.0, eta=0.25, B=0.5)
-    mm = moment_matrices(p, 0.0)
-    assert mm.D.shape == (2, 2) and mm.M.shape == (2, 1)
-    assert mm.D[0, 0] == pytest.approx(2.0 * 100.0)
-    assert mm.M[1, 0] == pytest.approx(math.sqrt(2.0 * 0.25 * 100.0))
-    # drift carries the field with a negative sign on the P component
-    assert mm.u[1] == pytest.approx(-2.0 * 0.5 * 10.0)
-    assert mm.u[0] == 0.0
 
 
 def test_validity_report_flags():
