@@ -7,20 +7,16 @@ integrated-flow cross-checks, photocurrent simulation, Bayesian field
 inference, and brute-force finite-spin benchmarks.
 """
 
-from .model import (ModelParams, TimeGrid, jbar, validity_report,
-                    load_config, save_config)
-from .filtering import (var_p_closed, var_p_ode,
-                        sensitivity_closed, sensitivity_ode)
+from .model import ModelParams, TimeGrid, jbar, load_config, save_config
+from .filtering import var_p_closed, sensitivity_closed
 from .information import (InformationReport, REPORT_COLUMNS,
-                          fisher_record_closed, fisher_record_largeJ,
-                          fisher_record_smallt, fisher_record_numeric,
-                          qfi_conditional, qfi_conditional_numeric,
+                          fisher_record_closed, qfi_conditional,
                           k_coefficients, effective_qfi, ultimate_qfi_closed,
                           ultimate_qfi_ode, scaling_slope)
 from .records import (PhotocurrentRecord, simulate_record, batch_simulate,
                       record_residuals, save_record, load_record)
-from .bayes import (PosteriorGrid, EstimateSummary, log_likelihood,
-                    posterior, estimate, saturation_curve)
+from .bayes import (PosteriorGrid, EstimateSummary, posterior, estimate,
+                    saturation_curve)
 from .spin import (SpinOperators, SpinCoherentState, TauInformation,
                    build_spin_operators, spin_coherent_x, evolve_unconditional,
                    evolve_conditional, fisher_tau, tau_information,
@@ -29,18 +25,15 @@ from .spin import (SpinOperators, SpinCoherentState, TauInformation,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelParams", "TimeGrid", "jbar", "validity_report", "load_config",
-    "save_config",
-    "var_p_closed", "var_p_ode", "sensitivity_closed", "sensitivity_ode",
+    "ModelParams", "TimeGrid", "jbar", "load_config", "save_config",
+    "var_p_closed", "sensitivity_closed",
     "InformationReport", "REPORT_COLUMNS", "fisher_record_closed",
-    "fisher_record_largeJ", "fisher_record_smallt", "fisher_record_numeric",
-    "qfi_conditional", "qfi_conditional_numeric", "k_coefficients",
-    "effective_qfi", "ultimate_qfi_closed", "ultimate_qfi_ode",
-    "scaling_slope",
+    "qfi_conditional", "k_coefficients", "effective_qfi",
+    "ultimate_qfi_closed", "ultimate_qfi_ode", "scaling_slope",
     "PhotocurrentRecord", "simulate_record", "batch_simulate",
     "record_residuals", "save_record", "load_record",
-    "PosteriorGrid", "EstimateSummary", "log_likelihood", "posterior",
-    "estimate", "saturation_curve",
+    "PosteriorGrid", "EstimateSummary", "posterior", "estimate",
+    "saturation_curve",
     "SpinOperators", "SpinCoherentState", "TauInformation",
     "build_spin_operators", "spin_coherent_x", "evolve_unconditional",
     "evolve_conditional", "fisher_tau", "tau_information",

@@ -24,16 +24,13 @@ from scipy.special import erfcx
 
 from .information import fisher_record_closed
 from .model import ModelParams
-from .records import PhotocurrentRecord, filter_split
+from .records import filter_split
 
 __all__ = [
     "PosteriorGrid",
     "EstimateSummary",
     "CoefficientTable",
     "coefficient_table",
-    "log_likelihood",
-    "quadratic_coefficients",
-    "prefix_coefficients",
     "posterior",
     "estimate",
     "saturation_curve",
@@ -49,7 +46,6 @@ class PosteriorGrid:
     its coefficients (S_rr, S_rA, S_AA), rendered on the grid."""
 
     b_values: np.ndarray
-    log_likelihood: np.ndarray   # up to a B-independent constant
     posterior: np.ndarray        # density values; trapezoid-normalized
     prior_interval: tuple
     params: ModelParams | None
@@ -136,31 +132,6 @@ def coefficient_table(records, steps) -> CoefficientTable:
                             params=first.params, times=steps * first.dt)
 
 
-def quadratic_coefficients(record: PhotocurrentRecord, upto_step: int | None = None):
-    """(S_rr, S_rA, S_AA) for one record, optionally truncated to a prefix."""
-    k = record.n_steps if upto_step is None else upto_step
-    return tuple(float(s[0]) for s in prefix_coefficients(record, [k]))
-
-
-def prefix_coefficients(record: PhotocurrentRecord, steps):
-    """Quadratic coefficients at several prefix lengths of one record.
-
-    steps is an increasing array of step counts; returns three arrays of the
-    same length (S_rr, S_rA, S_AA evaluated on record[:k] for each k).
-    """
-    table = coefficient_table([record], steps)
-    return table.S_rr[0], table.S_rA[0], table.S_AA
-
-
-def log_likelihood(record: PhotocurrentRecord, B: float) -> float:
-    """Exact log-likelihood of one record at candidate field B (additive
-    constant included)."""
-    if not math.isfinite(B):
-        raise ValueError("candidate field must be finite")
-    S_rr, S_rA, S_AA = quadratic_coefficients(record)
-    return -0.5 * (S_rr - 2.0 * B * S_rA + B * B * S_AA)
-
-
 def _check_prior(prior_interval) -> tuple:
     lo, hi = prior_interval
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -192,14 +163,13 @@ def _grid_posterior(coefficients, prior_interval, n_grid, params, n_records,
         raise RuntimeError(
             "posterior mass concentrates at the prior boundary; widen the "
             f"prior interval {prior_interval}")
-    return PosteriorGrid(b_values=b, log_likelihood=logl, posterior=p,
+    return PosteriorGrid(b_values=b, posterior=p,
                          prior_interval=(lo, hi), params=params,
                          n_records=n_records, t=t, coefficients=coefficients)
 
 
 def posterior(records, prior_interval=DEFAULT_PRIOR,
               n_grid: int = DEFAULT_GRID_POINTS,
-              upto_step: int | None = None,
               boundary: str = "raise") -> PosteriorGrid:
     """Grid posterior over B given zero or more records.
 
@@ -213,9 +183,8 @@ def posterior(records, prior_interval=DEFAULT_PRIOR,
     if not records:
         return _grid_posterior((0.0, 0.0, 0.0), prior_interval, n_grid, None,
                                0, 0.0, boundary)
-    k = records[0].n_steps if upto_step is None else upto_step
-    return coefficient_table(records, [k]).posterior(0, prior_interval, n_grid,
-                                                     boundary)
+    return coefficient_table(records, [records[0].n_steps]).posterior(
+        0, prior_interval, n_grid, boundary)
 
 
 def _tail_moments(x: float):

@@ -2,7 +2,7 @@
 
 Four subcommands cover the workflow end to end:
 
-    magmon info-sweep  --out DIR [--config FILE] [--threads N]
+    magmon info-sweep  --out DIR [--config FILE]
     magmon simulate    --config FILE --out DIR [--seed N] [--threads N]
     magmon estimate    --config FILE --out DIR RECORD.npz [RECORD.npz ...]
     magmon verify      [--out DIR]
@@ -44,19 +44,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="magmon",
                 description="Field-estimation toolkit for a continuously "
                             "monitored atomic ensemble")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_config, threads=True):
+    def common(sp, need_config):
         sp.add_argument("--config", required=need_config, default=None,
                         help="flat JSON config file")
         sp.add_argument("--out", required=True, help="output directory")
-        if threads:
-            sp.add_argument("--threads", type=int, default=1,
-                            help="worker threads (output order is independent)")
 
     sp = sub.add_parser("info-sweep", help="closed-form information sweep")
     common(sp, need_config=False)
@@ -65,9 +69,11 @@ def _build_parser() -> _Parser:
     common(sp, need_config=True)
     sp.add_argument("--seed", type=int, default=None,
                     help="override the config seed")
+    sp.add_argument("--threads", type=_positive_int, default=1,
+                    help="worker threads (output order is independent)")
 
     sp = sub.add_parser("estimate", help="posterior inference from records")
-    common(sp, need_config=True, threads=False)
+    common(sp, need_config=True)
     sp.add_argument("records", nargs="*", metavar="RECORD",
                     help="record .npz files (zero records echoes the prior)")
 
@@ -115,8 +121,6 @@ def cmd_info_sweep(args) -> int:
     if not all(axes):
         raise UsageError("sweep lists must be non-empty")
     j_values, kappa_t_values, eta_values = axes
-    # --threads is accepted but unused: a serial sweep of closed forms is
-    # faster than a thread pool, and the output does not depend on it.
     rows = [information.effective_qfi(template.replace(J=J, eta=eta),
                                       kt / kappa).row()
             for J in j_values for kt in kappa_t_values for eta in eta_values]
@@ -139,7 +143,7 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         seed = args.seed
     extras = _read_extras(args.config)
-    n_records = int(extras.get("n_records", 4))
+    n_records = model.as_int("n_records", extras.get("n_records", 4))
     convention = str(extras.get("convention", "main"))
     # Each record is written as it is drawn, so the batch is never held whole.
     batch = records._batch_stream(params, grid, n_records, seed, convention,
@@ -192,8 +196,8 @@ def cmd_estimate(args) -> int:
     extras = _read_extras(args.config)
     prior = (float(extras.get("prior_lo", bayes.DEFAULT_PRIOR[0])),
              float(extras.get("prior_hi", bayes.DEFAULT_PRIOR[1])))
-    n_grid = int(extras.get("n_grid", bayes.DEFAULT_GRID_POINTS))
-    n_checkpoints = int(extras.get("n_checkpoints", 20))
+    n_grid = model.as_int("n_grid", extras.get("n_grid", bayes.DEFAULT_GRID_POINTS))
+    n_checkpoints = model.as_int("n_checkpoints", extras.get("n_checkpoints", 20))
     if n_checkpoints < 1:
         raise ValueError(f"n_checkpoints must be at least 1, got {n_checkpoints}")
     out = _outdir(args)

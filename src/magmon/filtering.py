@@ -1,5 +1,5 @@
-"""Conditional Gaussian dynamics: closed forms and the integrated flow of the
-conditional variance and the field sensitivity.
+"""Conditional Gaussian dynamics: the closed forms of the conditional variance
+and the field sensitivity, and the one integrated flow that checks them.
 
 The conditional state of the effective mode stays Gaussian, with a
 deterministic covariance (the Riccati flow does not depend on the measurement
@@ -18,7 +18,7 @@ sensitivity also closes:
 gaussian_flow deliberately *re-integrates* these equations, together with
 the record information dF/dt = 4 eta kappa Jbar s^2, as one joint flow for
 (Var, s, F) from (1/2, 0, 0), so the closed forms can be checked against an
-independent route.  It uses the one substepped classical RK4 of this module,
+independent route; checks.closed_vs_integrated makes that comparison.  It uses the one substepped classical RK4 of this module,
 rk4, with this stability rule for every Gaussian flow:
 
     substeps per cell = ceil(dt * (8 eta kappa Jbar(t) Var(t) + kappa) / 0.1)
@@ -39,9 +39,7 @@ from .model import ModelParams, TimeGrid, jbar
 
 __all__ = [
     "var_p_closed",
-    "var_p_ode",
     "sensitivity_closed",
-    "sensitivity_ode",
     "rk4",
     "gaussian_flow",
 ]
@@ -123,28 +121,3 @@ def gaussian_flow(params: ModelParams, grid: TimeGrid):
                lambda t0, dt: _substeps(params, t0, dt))
     return tuple(np.array(flow).T)
 
-
-def var_p_ode(params: ModelParams, grid: TimeGrid) -> np.ndarray:
-    """Var_c[P] at all grid nodes, from the integrated Riccati flow.
-
-    Raises RuntimeError if the result disagrees with the closed form by more
-    than 1e-6 in relative terms.
-    """
-    out = gaussian_flow(params, grid)[0]
-    ref = var_p_closed(params, grid.times())
-    rel = np.max(np.abs(out - ref) / ref)
-    if rel > 1e-6:
-        raise RuntimeError(
-            f"variance ODE disagrees with closed form: rel err {rel:.3e} "
-            f"> 1.0e-06; refine the grid")
-    return out
-
-
-def sensitivity_ode(params: ModelParams, grid: TimeGrid) -> np.ndarray:
-    """Integrate ds/dt = -gamma sqrt(Jbar) - 4 Var eta kappa Jbar s from s(0)=0.
-
-    Deterministic (no noise term); the damping coefficient uses the variance
-    integrated alongside s, not the closed form.  Returns s at all grid nodes
-    (units 1/Gauss).
-    """
-    return gaussian_flow(params, grid)[1]

@@ -1,5 +1,5 @@
-"""Fisher-information quantities for the monitored ensemble, in closed form and
-by independent numerical routes.
+"""Fisher-information quantities for the monitored ensemble, in closed form,
+plus the integrated two-field route to Q_bar.
 
 Quantities (all in 1/Gauss^2, evaluated at interrogation time t):
 
@@ -21,6 +21,9 @@ All closed forms are implemented in cancellation-free form (expm1-based);
 the raw textbook expressions subtract nearly equal exponentials and lose up
 to eight digits below kappa*t ~ 1e-2, which matters at the tolerances the
 cross-checks run at.  The algebraic equivalence is covered by tests.
+
+F_record and Q_cond are checked against the integrated (Var, s, F) flow
+filtering.gaussian_flow by checks.closed_vs_integrated.
 """
 
 from __future__ import annotations
@@ -30,19 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import (gaussian_flow, rk4, sensitivity_closed,
-                        var_p_closed)
+from .filtering import rk4
 from .model import ModelParams
 
 __all__ = [
     "InformationReport",
-    "GenMESolution",
     "fisher_record_closed",
-    "fisher_record_numeric",
-    "fisher_record_largeJ",
-    "fisher_record_smallt",
     "qfi_conditional",
-    "qfi_conditional_numeric",
     "k_coefficients",
     "effective_qfi",
     "ultimate_qfi_closed",
@@ -76,23 +73,6 @@ class InformationReport:
         return [getattr(self, c) for c in REPORT_COLUMNS]
 
 
-@dataclass(frozen=True)
-class GenMESolution:
-    """Two-field master-equation solution at time t for a pair (B1, B2).
-
-    C is the operator trace (real positive here, = exp(-q (B1-B2)^2)); x_m the
-    phase-space first moment (purely imaginary for B1 != B2); sigma11 the
-    growing covariance entry.
-    """
-
-    C: complex
-    x_m: complex
-    sigma11: float
-    B1: float
-    B2: float
-    t: float
-
-
 def _reduced(params: ModelParams, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
@@ -118,74 +98,17 @@ def fisher_record_closed(params: ModelParams, t):
     return out if out.ndim else float(out)
 
 
-def fisher_record_largeJ(params: ModelParams, t):
-    """Leading J->infinity behaviour of the record FI (quadratic in J)."""
-    g, eta, J, kt = _reduced(params, t)
-    u = np.expm1(kt / 4.0)
-    out = (64.0 * g * g * eta * J * J / 9.0) * np.exp(-kt) * u ** 3 \
-        * (4.0 * (u + 1.0) + (u + 1.0) ** 2 + 1.0) / (u + 2.0)
-    return out if out.ndim else float(out)
-
-
-def fisher_record_smallt(params: ModelParams, t):
-    """Leading t->0 law (4/3) eta gamma^2 J^2 kappa t^3.
-
-    The eta factor follows from expanding the closed form; at eta=1 it matches
-    the cubic-in-t, quadratic-in-J short-time budget.
-    """
-    t = np.asarray(t, dtype=float)
-    out = (4.0 / 3.0) * params.eta * (params.gamma * params.J) ** 2 \
-        * params.kappa * t ** 3
-    return out if out.ndim else float(out)
-
-
-def fisher_record_numeric(params: ModelParams, grid) -> float:
-    """Record FI as the F component of the joint flow filtering.gaussian_flow.
-
-    There dF/dt = 4 eta kappa Jbar s^2 is integrated together with the
-    sensitivity s and the variance that damps it.  Raises RuntimeError when
-    the result differs from the closed form by more than 1e-6 in relative
-    terms (the defining convention check).
-    """
-    F = gaussian_flow(params, grid)[2][-1]
-    closed = fisher_record_closed(params, grid.t_final)
-    if closed > 0:
-        rel = abs(F - closed) / closed
-        if rel > 1e-6:
-            raise RuntimeError(
-                f"record-FI quadrature disagrees with closed form: rel err "
-                f"{rel:.3e} > 1.0e-06")
-    return F
-
-
-def qfi_conditional(params: ModelParams, t, route: str = "closed"):
-    """Conditional-state QFI Q = s(t)^2 / Var_c[P](t).
-
-    route="closed" evaluates the single closed expression
+def qfi_conditional(params: ModelParams, t):
+    """Conditional-state QFI Q = s(t)^2 / Var_c[P](t), as one closed expression
 
         Q = 32 g^2 J v^2 (3 + 4 eta J v (3-v))^2 / (9 (4 eta J v (2-v) + 1)),
-        v = 1 - e^{-kt/4};
-
-    route="ratio" assembles the same number from the filtering module's
-    closed sensitivity and variance.  Both agree to floating point.
+        v = 1 - e^{-kt/4}.
     """
-    if route == "ratio":
-        s = sensitivity_closed(params, t)
-        return s * s / var_p_closed(params, t)
-    if route != "closed":
-        raise ValueError(f"unknown route {route!r}")
     g, eta, J, kt = _reduced(params, t)
     v = -np.expm1(-kt / 4.0)
     out = 32.0 * g * g * J * v * v * (3.0 + 4.0 * eta * J * v * (3.0 - v)) ** 2 \
         / (9.0 * (4.0 * eta * J * v * (2.0 - v) + 1.0))
     return out if out.ndim else float(out)
-
-
-def qfi_conditional_numeric(params: ModelParams, grid) -> float:
-    """ODE route for the conditional QFI: sensitivity and variance both from
-    the joint flow filtering.gaussian_flow, combined as s^2/Var at the grid end."""
-    V, s, _ = gaussian_flow(params, grid)
-    return s[-1] ** 2 / V[-1]
 
 
 def k_coefficients(params: ModelParams, t):
@@ -233,16 +156,18 @@ def ultimate_qfi_closed(params: ModelParams, t):
     return out if out.ndim else float(out)
 
 
-def gen_me_solution(params: ModelParams, t: float, B1: float, B2: float,
-                    n_steps: int = 4000) -> GenMESolution:
-    """Integrate the two-field phase-space system for one (B1, B2) pair.
+def gen_me_solution(params: ModelParams, t: float, B1: float,
+                    B2: float) -> complex:
+    """Two-field trace C at time t for one (B1, B2) pair, from the phase-space
+    system
 
         dsigma11/dt = 2 kappa Jbar
         dx_m/dt     = -i (gamma/2) sqrt(Jbar) (B1-B2) sigma11
         dC/dt       = -i gamma sqrt(Jbar) (B1-B2) x_m C
 
-    from sigma11=1, x_m=0, C=1, with n_steps fixed RK4 steps (the system is
-    smooth and non-stiff).  For B1 == B2 the trace C stays exactly 1.
+    from sigma11=1, x_m=0, C=1, in 4000 fixed RK4 steps (the system is smooth
+    and non-stiff).  C is real positive here, = exp(-q (B1-B2)^2); for
+    B1 == B2 it stays exactly 1.
     """
     ek, J, gam = params.kappa, params.J, params.gamma
     dB = B1 - B2
@@ -254,9 +179,8 @@ def gen_me_solution(params: ModelParams, t: float, B1: float, B2: float,
                 -0.5j * gam * rj * dB * s11,
                 -1j * gam * rj * dB * x * c]
 
-    sig11, xm, C = rk4(f, [1.0, 0j, 1 + 0j], np.linspace(0.0, t, n_steps + 1),
-                       lambda t0, _: 1)[-1]
-    return GenMESolution(C=C, x_m=xm, sigma11=float(sig11), B1=B1, B2=B2, t=t)
+    return rk4(f, [1.0, 0j, 1 + 0j], np.linspace(0.0, t, 4001),
+               lambda t0, _: 1)[-1][2]
 
 
 def ultimate_qfi_ode(params: ModelParams, t: float) -> float:
@@ -272,7 +196,7 @@ def ultimate_qfi_ode(params: ModelParams, t: float) -> float:
     q_hint = max(ultimate_qfi_closed(params, t) / 8.0, 1e-12)
     delta_b = 0.5 * math.sqrt(1e-4 / q_hint)
     B = params.B
-    mag = abs(gen_me_solution(params, t, B + delta_b, B - delta_b).C)
+    mag = abs(gen_me_solution(params, t, B + delta_b, B - delta_b))
     if not mag > 0:
         raise RuntimeError("two-field trace underflowed")
     return -2.0 * math.log(mag) / delta_b ** 2

@@ -33,6 +33,7 @@ physical (params, t) and convert.  kappa has units 1/time, gamma units
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +43,7 @@ __all__ = [
     "ModelParams",
     "TimeGrid",
     "jbar",
-    "validity_report",
+    "as_int",
     "load_config",
     "save_config",
 ]
@@ -94,7 +95,8 @@ class TimeGrid:
     def __post_init__(self):
         if not self.t_final > 0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
-        if int(self.n_steps) != self.n_steps or self.n_steps < 1:
+        object.__setattr__(self, "n_steps", as_int("n_steps", self.n_steps))
+        if self.n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
 
     @property
@@ -104,6 +106,16 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         """All n_steps+1 node times, including both endpoints."""
         return np.linspace(0.0, self.t_final, self.n_steps + 1)
+
+
+def as_int(name: str, value) -> int:
+    """value as an int.  An integral float such as JSON's 1e4 is accepted;
+    2.5, nan, true and "3" raise ValueError rather than being truncated."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def jbar(params: ModelParams, t):
@@ -116,21 +128,6 @@ def jbar(params: ModelParams, t):
         raise ValueError("time must be non-negative")
     out = params.J * np.exp(-params.kappa * t / 2.0)
     return out if out.ndim else float(out)
-
-
-def validity_report(params: ModelParams, t: float,
-                    gaussian_threshold: float = 1.0,
-                    small_field_threshold: float = 0.1) -> dict:
-    """Advisory regime flags: Gaussian reduction wants kappa*t <~ 1, and the
-    linearized field coupling wants |gamma*B*t| << 1.  Never raises."""
-    kt = params.kappa * t
-    gbt = abs(params.gamma * params.B * t)
-    return {
-        "kappa_t": kt,
-        "gamma_B_t": gbt,
-        "gaussian_ok": bool(kt <= gaussian_threshold),
-        "small_field_ok": bool(gbt <= small_field_threshold),
-    }
 
 
 # -- configuration files ------------------------------------------------------
@@ -149,8 +146,8 @@ def load_config(path) -> tuple[ModelParams, TimeGrid, int]:
     params = ModelParams(J=float(raw["J"]), kappa=float(raw["kappa"]),
                          gamma=float(raw["gamma"]), eta=float(raw["eta"]),
                          B=float(raw["B"]))
-    grid = TimeGrid(t_final=float(raw["t_final"]), n_steps=int(raw["n_steps"]))
-    return params, grid, int(raw["seed"])
+    grid = TimeGrid(t_final=float(raw["t_final"]), n_steps=raw["n_steps"])
+    return params, grid, as_int("seed", raw["seed"])
 
 
 def save_config(path, params: ModelParams, grid: TimeGrid, seed: int) -> None:

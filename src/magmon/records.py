@@ -79,11 +79,6 @@ class PhotocurrentRecord:
     def n_steps(self) -> int:
         return len(self.increments)
 
-    @property
-    def uninformative(self) -> bool:
-        """True when the record cannot carry field information (eta = 0)."""
-        return self.params.eta == 0.0
-
     def grid(self) -> TimeGrid:
         return TimeGrid(t_final=self.t_final, n_steps=self.n_steps)
 

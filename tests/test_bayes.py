@@ -6,15 +6,15 @@ exactly normal with variance 1/S_AA.  Several tests below lean on those two
 facts as oracles.
 """
 
+import dataclasses
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from magmon.bayes import (estimate, log_likelihood, posterior,
-                          prefix_coefficients, quadratic_coefficients,
-                          saturation_curve)
+from magmon.bayes import (DEFAULT_GRID_POINTS, coefficient_table, estimate,
+                          posterior, saturation_curve)
 from magmon.information import fisher_record_closed
 from magmon.model import ModelParams, TimeGrid
 from magmon.records import batch_simulate, simulate_record
@@ -24,19 +24,11 @@ GRID = TimeGrid(t_final=1.0, n_steps=40000)
 PRIOR = (-0.01, 0.01)
 
 
-def test_loglik_is_exactly_quadratic():
-    rec = simulate_record(P, GRID, seed=2)
-    S_rr, S_rA, S_AA = quadratic_coefficients(rec)
-    for B in (-3e-3, 0.0, 1e-4, 7e-3):
-        expect = -0.5 * (S_rr - 2.0 * B * S_rA + B * B * S_AA)
-        assert log_likelihood(rec, B) == pytest.approx(expect, rel=1e-12)
-
-
 def test_discrete_fisher_tracks_closed_form():
     # S_AA is the discrete-model Fisher information; on a fine grid it should
     # land within a fraction of a percent of the continuum value.
     rec = simulate_record(P, GRID, seed=2)
-    _, _, S_AA = quadratic_coefficients(rec)
+    S_AA = coefficient_table([rec], [GRID.n_steps]).S_AA[0]
     assert S_AA == pytest.approx(fisher_record_closed(P, GRID.t_final), rel=5e-3)
 
 
@@ -45,9 +37,9 @@ def test_ml_estimator_calibration():
     B_true = 2e-3
     records = batch_simulate(P.replace(B=B_true), GRID, n_records=150,
                              seed_base=31)
-    coeffs = [quadratic_coefficients(r) for r in records]
-    bhat = np.array([c[1] / c[2] for c in coeffs])
-    sigma = math.sqrt(1.0 / np.mean([c[2] for c in coeffs]))
+    table = coefficient_table(records, [GRID.n_steps])
+    bhat = table.S_rA[:, 0] / table.S_AA[0]
+    sigma = math.sqrt(1.0 / table.S_AA[0])
     n = len(bhat)
     assert abs(bhat.mean() - B_true) < 4.0 * sigma / math.sqrt(n)
     # variance of the variance estimator: relative sd ~ sqrt(2/(n-1))
@@ -65,7 +57,7 @@ def test_posterior_permutation_bitwise():
     a = posterior(records, PRIOR)
     b = posterior(records[::-1], PRIOR)
     assert a.posterior.tobytes() == b.posterior.tobytes()
-    assert a.log_likelihood.tobytes() == b.log_likelihood.tobytes()
+    assert a.coefficients == b.coefficients
 
 
 def test_more_records_narrow_the_posterior():
@@ -103,23 +95,30 @@ def test_single_record_saturates_the_bound():
     assert 0.8 < summ.ratio < 1.2
 
 
+def _cut(rec, k):
+    """The record of the same run stopped after its first k increments."""
+    return dataclasses.replace(rec, increments=rec.increments[:k],
+                               t_final=k * rec.dt)
+
+
 def test_prefix_matches_truncation():
     rec = simulate_record(P, GRID, seed=9)
     steps = [0, 1, 1000, 20000, GRID.n_steps]
-    crr, cra, caa = prefix_coefficients(rec, steps)
-    for i, k in enumerate(steps):
-        full = quadratic_coefficients(rec, upto_step=k)
-        assert (crr[i], cra[i], caa[i]) == pytest.approx(full, rel=1e-12, abs=1e-15)
-    assert (crr[-1], cra[-1], caa[-1]) == pytest.approx(
-        quadratic_coefficients(rec), rel=1e-12)
+    table = coefficient_table([rec], steps)
+    assert (table.S_rr[0, 0], table.S_rA[0, 0], table.S_AA[0]) == (0.0, 0.0, 0.0)
+    for i, k in enumerate(steps[1:], start=1):
+        cut = coefficient_table([_cut(rec, k)], [k])
+        assert (table.S_rr[0, i], table.S_rA[0, i], table.S_AA[i]) == \
+            pytest.approx((cut.S_rr[0, 0], cut.S_rA[0, 0], cut.S_AA[0]),
+                          rel=1e-12, abs=1e-15)
 
 
 def test_prefix_rejects_bad_steps():
     rec = simulate_record(P, GRID, seed=9)
     with pytest.raises(ValueError):
-        prefix_coefficients(rec, [GRID.n_steps + 1])
+        coefficient_table([rec], [GRID.n_steps + 1])
     with pytest.raises(ValueError):
-        quadratic_coefficients(rec, upto_step=-1)
+        coefficient_table([rec], [-1])
 
 
 def test_incompatible_records_rejected():
@@ -157,9 +156,9 @@ def test_sub_cell_posterior_moments_are_exact():
     # Four J = 1e4 records on a 41-point grid: the pooled posterior is under a
     # quarter of a cell wide, where grid quadrature misplaces mean and sd.
     records = batch_simulate(P.replace(B=2e-3), GRID, n_records=4, seed_base=5)
-    parts = [quadratic_coefficients(r) for r in records]
-    S_rA = math.fsum(p[1] for p in parts)
-    S_AA = math.fsum(p[2] for p in parts)
+    table = coefficient_table(records, [GRID.n_steps])
+    S_rA = math.fsum(table.S_rA[:, 0])
+    S_AA = len(records) * table.S_AA[0]
     cell = (PRIOR[1] - PRIOR[0]) / 40
     assert 1.0 / math.sqrt(S_AA) < 0.25 * cell
     summ = estimate(posterior(records, PRIOR, n_grid=41))
@@ -189,9 +188,11 @@ def _mp_moments(S_rA, S_AA, lo, hi):
 def _regime(name):
     rec = simulate_record(P.replace(B=2e-3), GRID, seed=3)
     if name == "S_AA = 0":           # beta_0 = 0: one step carries nothing
-        return posterior([rec], PRIOR, upto_step=1)
+        return coefficient_table([rec], [1]).posterior(
+            0, PRIOR, DEFAULT_GRID_POINTS, "raise")
     if name == "far wider than the prior":
-        return posterior([rec], PRIOR, upto_step=10, boundary="allow")
+        return coefficient_table([rec], [10]).posterior(
+            0, PRIOR, DEFAULT_GRID_POINTS, "allow")
     if name == "narrower than a cell":
         records = batch_simulate(P.replace(B=2e-3), GRID, 4, seed_base=5)
         return posterior(records, PRIOR, n_grid=41)

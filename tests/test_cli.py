@@ -70,7 +70,7 @@ def test_info_sweep_default_grid(tmp_path, capsys):
 def test_info_sweep_reruns_byte_identical(tmp_path, capsys):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli.main(["info-sweep", "--out", str(out_a)]) == 0
-    assert cli.main(["info-sweep", "--out", str(out_b), "--threads", "3"]) == 0
+    assert cli.main(["info-sweep", "--out", str(out_b)]) == 0
     assert (out_a / "info_sweep.csv").read_bytes() == \
         (out_b / "info_sweep.csv").read_bytes()
     capsys.readouterr()
@@ -269,3 +269,35 @@ def test_estimate_rejects_threads_option(config_path, tmp_path, capsys):
                    "--out", str(tmp_path / "e"), "--threads", "2"])
     assert rc == 1
     assert "magmon: error:" in capsys.readouterr().err
+
+
+def test_info_sweep_rejects_threads_option(tmp_path, capsys):
+    rc = cli.main(["info-sweep", "--out", str(tmp_path / "s"), "--threads", "2"])
+    assert rc == 1
+    assert "magmon: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_simulate_rejects_threads_below_one(config_path, tmp_path, capsys,
+                                            threads):
+    out = tmp_path / "r"
+    rc = cli.main(["simulate", "--config", config_path, "--out", str(out),
+                   "--threads", threads])
+    assert rc == 1
+    assert "magmon: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate", "n_steps", 1000.7), ("simulate", "seed", 3.9),
+    ("simulate", "n_records", 2.5), ("estimate", "n_grid", 201.5),
+    ("estimate", "n_checkpoints", 4.2)])
+def test_non_integral_config_values_exit_1(tmp_path, capsys, command, key,
+                                           value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(CONFIG, **{key: value})))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "magmon: error:" in err and key in err
+    assert not out.exists()

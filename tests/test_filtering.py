@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magmon.filtering import (sensitivity_closed, sensitivity_ode,
-                              var_p_closed, var_p_ode)
+from magmon.filtering import gaussian_flow, sensitivity_closed, var_p_closed
 from magmon.model import ModelParams, TimeGrid
 
 PARAMS = st.builds(
@@ -52,7 +51,7 @@ def test_var_limits():
 def test_var_ode_matches_closed():
     p = ModelParams(J=1e3, kappa=1.0, gamma=1.0, eta=0.7)
     grid = TimeGrid(t_final=1.0, n_steps=300)
-    v = var_p_ode(p, grid)  # raises internally on mismatch
+    v = gaussian_flow(p, grid)[0]
     np.testing.assert_allclose(v, var_p_closed(p, grid.times()), rtol=1e-6)
 
 
@@ -60,7 +59,7 @@ def test_sensitivity_ode_matches_closed():
     for eta in (0.1, 1.0):
         p = ModelParams(J=1e4, kappa=1.0, gamma=1.0, eta=eta)
         grid = TimeGrid(t_final=1.0, n_steps=300)
-        s = sensitivity_ode(p, grid)
+        s = gaussian_flow(p, grid)[1]
         np.testing.assert_allclose(s, sensitivity_closed(p, grid.times()),
                                    rtol=1e-6, atol=1e-12)
 

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from magmon.model import (ModelParams, TimeGrid, jbar, load_config,
-                          save_config, validity_report)
+from magmon.model import ModelParams, TimeGrid, jbar, load_config, save_config
 
 
 def test_params_validation():
@@ -45,12 +44,13 @@ def test_time_grid():
         TimeGrid(t_final=1.0, n_steps=0)
 
 
-def test_validity_report_flags():
-    p = ModelParams(J=100.0, kappa=1.0, gamma=1.0, B=0.5)
-    ok = validity_report(p, 0.05)
-    assert ok["gaussian_ok"] and ok["small_field_ok"]
-    late = validity_report(p, 5.0)
-    assert not late["gaussian_ok"] and not late["small_field_ok"]
+def test_time_grid_integral_float_steps_become_int():
+    g = TimeGrid(t_final=1.0, n_steps=10.0)
+    assert type(g.n_steps) is int and g == TimeGrid(t_final=1.0, n_steps=10)
+    assert len(g.times()) == 11
+    for bad in (10.5, math.nan, math.inf, True, "10"):
+        with pytest.raises(ValueError, match="n_steps"):
+            TimeGrid(t_final=1.0, n_steps=bad)
 
 
 def test_config_round_trip(tmp_path):
@@ -60,6 +60,19 @@ def test_config_round_trip(tmp_path):
     save_config(path, p, g, seed=99)
     p2, g2, seed = load_config(path)
     assert p2 == p and g2 == g and seed == 99
+
+
+def test_config_integer_keys_are_not_truncated(tmp_path):
+    base = {"J": 10.0, "kappa": 1.0, "gamma": 1.0, "eta": 1.0, "B": 0.0,
+            "t_final": 1.0, "n_steps": 1e4, "seed": 3}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(base))
+    _, grid, _ = load_config(path)
+    assert type(grid.n_steps) is int and grid.n_steps == 10000
+    for key, bad in (("n_steps", 1000.7), ("seed", 3.9)):
+        path.write_text(json.dumps(dict(base, **{key: bad})))
+        with pytest.raises(ValueError, match=key):
+            load_config(path)
 
 
 def test_config_missing_keys(tmp_path):
