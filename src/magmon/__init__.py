@@ -7,7 +7,7 @@ integrated-flow cross-checks, photocurrent simulation, Bayesian field
 inference, and brute-force finite-spin benchmarks.
 """
 
-from .model import ModelParams, TimeGrid, jbar, load_config, save_config
+from .model import ModelParams, TimeGrid, jbar, load_config
 from .filtering import var_p_closed, sensitivity_closed
 from .information import (InformationReport, REPORT_COLUMNS,
                           fisher_record_closed, qfi_conditional,
@@ -25,7 +25,7 @@ from .spin import (SpinOperators, SpinCoherentState, TauInformation,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelParams", "TimeGrid", "jbar", "load_config", "save_config",
+    "ModelParams", "TimeGrid", "jbar", "load_config",
     "var_p_closed", "sensitivity_closed",
     "InformationReport", "REPORT_COLUMNS", "fisher_record_closed",
     "qfi_conditional", "k_coefficients", "effective_qfi",

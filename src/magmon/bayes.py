@@ -1,10 +1,10 @@
 """Bayesian field inference from photocurrent records.
 
 Filtered at a candidate field B, a record's innovations are r_i - beta_i B
-with beta the same for every record (records.filter_split), so
-log L(B) = -(S_rr - 2 B S_rA + B^2 S_AA)/2 and three numbers fix a
-posterior.  S_AA is the discrete Fisher information; the maximum-likelihood
-point S_rA/S_AA is exactly Normal(B_true, 1/S_AA).  coefficient_table does
+with beta the same for every record (records.filter_split), so up to a
+constant log L(B) = B S_rA - B^2 S_AA/2 and two numbers fix a posterior.
+S_AA is the discrete Fisher information; the maximum-likelihood point
+S_rA/S_AA is exactly Normal(B_true, 1/S_AA).  coefficient_table does
 the record-independent work once and one pass per record; records are
 pooled with math.fsum, so posteriors ignore record order to the last bit.
 
@@ -43,7 +43,7 @@ DEFAULT_GRID_POINTS = 401
 @dataclass(frozen=True)
 class PosteriorGrid:
     """Posterior over the field for a set of records up to time t: fixed by
-    its coefficients (S_rr, S_rA, S_AA), rendered on the grid."""
+    its coefficients (S_rA, S_AA), rendered on the grid."""
 
     b_values: np.ndarray
     posterior: np.ndarray        # density values; trapezoid-normalized
@@ -72,11 +72,9 @@ class EstimateSummary:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """S_rr and S_rA of every record (rows, in record order) at every
-    checkpoint (columns, at the given times); S_AA is the same for all
-    records."""
+    """S_rA of every record (rows, in record order) at every checkpoint
+    (columns, at the given times); S_AA is the same for all records."""
 
-    S_rr: np.ndarray
     S_rA: np.ndarray
     S_AA: np.ndarray
     params: ModelParams
@@ -85,10 +83,9 @@ class CoefficientTable:
     def posterior(self, i: int, prior_interval, n_grid: int,
                   boundary: str) -> PosteriorGrid:
         """Posterior of all records together at checkpoint i."""
-        pooled = (math.fsum(self.S_rr[:, i]), math.fsum(self.S_rA[:, i]),
-                  float(len(self.S_rr) * self.S_AA[i]))
+        pooled = (math.fsum(self.S_rA[:, i]), float(len(self.S_rA) * self.S_AA[i]))
         return _grid_posterior(pooled, prior_interval, n_grid, self.params,
-                               len(self.S_rr), float(self.times[i]), boundary)
+                               len(self.S_rA), float(self.times[i]), boundary)
 
     def summaries(self, i: int, prior_interval) -> list[EstimateSummary]:
         """Single-record summaries at checkpoint i, without a grid."""
@@ -116,19 +113,14 @@ def coefficient_table(records, steps) -> CoefficientTable:
     def prefix(x):
         return np.concatenate(([0.0], np.cumsum(x)))[steps] / dt
 
-    S_rr, S_rA = [], []
+    S_rA = []
     for rec in itertools.chain([first], records):
         if rec.params != first.params:
             raise ValueError("records mix different model parameters")
         if rec.n_steps != first.n_steps or rec.dt != first.dt:
             raise ValueError("records mix different time grids")
-        if rec.convention_tag != first.convention_tag:
-            raise ValueError("records mix different current conventions")
-        r = residual(rec.as_main_convention())
-        S_rr.append(prefix(r * r))
-        S_rA.append(prefix(r * beta))
-    return CoefficientTable(S_rr=np.array(S_rr),
-                            S_rA=np.array(S_rA), S_AA=prefix(beta * beta),
+        S_rA.append(prefix(residual(rec.increments) * beta))
+    return CoefficientTable(S_rA=np.array(S_rA), S_AA=prefix(beta * beta),
                             params=first.params, times=steps * first.dt)
 
 
@@ -146,9 +138,9 @@ def _grid_posterior(coefficients, prior_interval, n_grid, params, n_records,
     if boundary not in ("raise", "allow"):
         raise ValueError(f"unknown boundary policy {boundary!r}")
     lo, hi = _check_prior(prior_interval)
-    S_rr, S_rA, S_AA = coefficients
+    S_rA, S_AA = coefficients
     b = np.linspace(lo, hi, n_grid)
-    logl = -0.5 * (S_rr - 2.0 * b * S_rA + b * b * S_AA)
+    logl = b * S_rA - 0.5 * b * b * S_AA
     shifted = logl - logl.max()
     p = np.exp(shifted)
     w = np.full(n_grid, (hi - lo) / (n_grid - 1))
@@ -181,7 +173,7 @@ def posterior(records, prior_interval=DEFAULT_PRIOR,
     """
     records = list(records)
     if not records:
-        return _grid_posterior((0.0, 0.0, 0.0), prior_interval, n_grid, None,
+        return _grid_posterior((0.0, 0.0), prior_interval, n_grid, None,
                                0, 0.0, boundary)
     return coefficient_table(records, [records[0].n_steps]).posterior(
         0, prior_interval, n_grid, boundary)
@@ -273,7 +265,7 @@ def _summary(moments, sd_crb: float) -> EstimateSummary:
 def estimate(post: PosteriorGrid) -> EstimateSummary:
     """Exact posterior mean and spread, with the closed-form information
     bound 1/sqrt(n F(t)) attached for the same parameters and horizon."""
-    _, S_rA, S_AA = post.coefficients
+    S_rA, S_AA = post.coefficients
     return _summary(_moments(S_rA, S_AA, *post.prior_interval),
                     _sd_crb(post.params, post.n_records, post.t))
 

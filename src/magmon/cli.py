@@ -13,8 +13,9 @@ for a fixed config and seed (headers carry the config echo, never wall-clock
 time), so identical invocations produce byte-identical files.
 
 Config files are the flat JSON documents of model.load_config; the commands
-additionally understand optional keys n_records, convention, prior_lo,
-prior_hi, n_grid, n_checkpoints, J_values, kappa_t_values, eta_values.
+additionally understand optional keys n_records, prior_lo, prior_hi, n_grid,
+n_checkpoints, J_values, kappa_t_values, eta_values.  Any other key is a
+configuration error, so a misspelt key is never silently ignored.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from . import bayes, checks, information, model, records
 SWEEP_J = (1e2, 1e4, 1e6)
 SWEEP_KAPPA_T = (0.01, 0.1, 1.0)
 SWEEP_ETA = (0.1, 0.5, 1.0)
+CONFIG_KEYS = frozenset(model.REQUIRED_KEYS + (
+    "n_records", "prior_lo", "prior_hi", "n_grid", "n_checkpoints",
+    "J_values", "kappa_t_values", "eta_values"))
 
 
 class UsageError(Exception):
@@ -88,7 +92,12 @@ def _read_extras(config_path) -> dict:
     if config_path is None:
         return {}
     with open(config_path) as fh:
-        return json.load(fh)
+        extras = json.load(fh)
+    unknown = sorted(set(extras) - CONFIG_KEYS)
+    if unknown:
+        raise UsageError(f"config {config_path} has unknown keys: "
+                         f"{', '.join(unknown)}")
+    return extras
 
 
 def _write_csv(path: Path, header_lines, columns, rows) -> None:
@@ -111,10 +120,10 @@ def _outdir(args) -> Path:
 
 def cmd_info_sweep(args) -> int:
     extras = _read_extras(args.config)
-    kappa = float(extras.get("kappa", 1.0))
-    gamma = float(extras.get("gamma", 1.0))
+    kappa = model.as_real("kappa", extras.get("kappa", 1.0))
+    gamma = model.as_real("gamma", extras.get("gamma", 1.0))
     template = model.ModelParams(J=1.0, kappa=kappa, gamma=gamma, eta=1.0, B=0.0)
-    axes = [tuple(float(x) for x in extras.get(key, default))
+    axes = [tuple(model.as_real(key, x) for x in extras.get(key, default))
             for key, default in (("J_values", SWEEP_J),
                                  ("kappa_t_values", SWEEP_KAPPA_T),
                                  ("eta_values", SWEEP_ETA))]
@@ -144,10 +153,8 @@ def cmd_simulate(args) -> int:
         seed = args.seed
     extras = _read_extras(args.config)
     n_records = model.as_int("n_records", extras.get("n_records", 4))
-    convention = str(extras.get("convention", "main"))
     # Each record is written as it is drawn, so the batch is never held whole.
-    batch = records._batch_stream(params, grid, n_records, seed, convention,
-                                  args.threads)
+    batch = records._batch_stream(params, grid, n_records, seed, args.threads)
     out = _outdir(args)
     files = []
     for k, rec in enumerate(batch):
@@ -158,7 +165,6 @@ def cmd_simulate(args) -> int:
         "files": files,
         "seed": seed,
         "n_records": n_records,
-        "convention": convention,
         "uninformative": params.eta == 0.0,
         "params": params.as_dict(),
         "t_final": grid.t_final,
@@ -194,8 +200,8 @@ def _load_matching(path, params, grid) -> records.PhotocurrentRecord:
 def cmd_estimate(args) -> int:
     params, grid, _seed = model.load_config(args.config)
     extras = _read_extras(args.config)
-    prior = (float(extras.get("prior_lo", bayes.DEFAULT_PRIOR[0])),
-             float(extras.get("prior_hi", bayes.DEFAULT_PRIOR[1])))
+    prior = (model.as_real("prior_lo", extras.get("prior_lo", bayes.DEFAULT_PRIOR[0])),
+             model.as_real("prior_hi", extras.get("prior_hi", bayes.DEFAULT_PRIOR[1])))
     n_grid = model.as_int("n_grid", extras.get("n_grid", bayes.DEFAULT_GRID_POINTS))
     n_checkpoints = model.as_int("n_checkpoints", extras.get("n_checkpoints", 20))
     if n_checkpoints < 1:

@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -44,8 +43,8 @@ __all__ = [
     "TimeGrid",
     "jbar",
     "as_int",
+    "as_real",
     "load_config",
-    "save_config",
 ]
 
 
@@ -118,6 +117,15 @@ def as_int(name: str, value) -> int:
     return int(value)
 
 
+def as_real(name: str, value) -> float:
+    """value as a float.  Ints and floats are accepted; true, "1e4", nan and
+    inf raise ValueError rather than being converted."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not np.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 def jbar(params: ModelParams, t):
     """Damped mean spin Jbar(t) = J exp(-kappa t / 2).
 
@@ -131,27 +139,19 @@ def jbar(params: ModelParams, t):
 
 
 # -- configuration files ------------------------------------------------------
-#
-# Flat JSON with keys J, kappa, gamma, eta, B, t_final, n_steps, seed.
-# save_config(load_config(path)) round-trips exactly (floats serialized by repr).
+
+REQUIRED_KEYS = ("J", "kappa", "gamma", "eta", "B",     # the ModelParams fields
+                 "t_final", "n_steps", "seed")
+
 
 def load_config(path) -> tuple[ModelParams, TimeGrid, int]:
     """Read a flat JSON config file -> (ModelParams, TimeGrid, seed)."""
     with open(path) as fh:
         raw = json.load(fh)
-    missing = [k for k in ("J", "kappa", "gamma", "eta", "B",
-                           "t_final", "n_steps", "seed") if k not in raw]
+    missing = [k for k in REQUIRED_KEYS if k not in raw]
     if missing:
         raise KeyError(f"config {path} missing keys: {', '.join(missing)}")
-    params = ModelParams(J=float(raw["J"]), kappa=float(raw["kappa"]),
-                         gamma=float(raw["gamma"]), eta=float(raw["eta"]),
-                         B=float(raw["B"]))
-    grid = TimeGrid(t_final=float(raw["t_final"]), n_steps=raw["n_steps"])
+    params = ModelParams(**{k: as_real(k, raw[k]) for k in REQUIRED_KEYS[:5]})
+    grid = TimeGrid(t_final=as_real("t_final", raw["t_final"]),
+                    n_steps=raw["n_steps"])
     return params, grid, as_int("seed", raw["seed"])
-
-
-def save_config(path, params: ModelParams, grid: TimeGrid, seed: int) -> None:
-    """Write the flat JSON config; inverse of load_config."""
-    payload = dict(params.as_dict(), t_final=grid.t_final,
-                   n_steps=grid.n_steps, seed=int(seed))
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")

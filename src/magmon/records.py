@@ -5,17 +5,11 @@ increments
 
     dy_i = m_i(B_true) * dt + dW_i,        dW_i ~ Normal(0, dt) i.i.d.
 
-where the mean current follows the conditional filter evolved at the true
-field.  Two mean-current conventions are supported and tagged on every
-record, because they differ by a pure rescaling of the data:
-
-    "main":  m_i = 2 sqrt(eta kappa Jbar_i) <P>_i,    noise variance dt
-    "appc":  m_i = sqrt(2 eta kappa Jbar_i) <P>_i,    noise variance dt/2
-
-i.e. an "appc" record is exactly a "main" record divided by sqrt(2).  The
-Fisher information carried by the record is invariant under that rescaling,
-but generator and likelihood must agree on the tag, so the tag travels with
-the data and the inference layer refuses mismatches.
+with the mean current m_i = 2 sqrt(eta kappa Jbar_i) <P>_i, where <P>
+follows the conditional filter evolved at the true field.  Rescaling the
+current leaves the Fisher information it carries unchanged, so this one
+scaling is the only one: record files carry the tag "main" for it, and
+load_record refuses any other tag rather than read rescaled data.
 
 Reproducibility: record k of a batch uses
 numpy's default_rng(SeedSequence(seed_base, spawn_key=(k,))) (PCG64); the
@@ -36,7 +30,6 @@ from .model import ModelParams, TimeGrid, jbar
 
 __all__ = [
     "PhotocurrentRecord",
-    "CONVENTIONS",
     "FORMAT_VERSION",
     "RNG_ALGORITHM",
     "simulate_record",
@@ -48,8 +41,8 @@ __all__ = [
     "load_record",
 ]
 
-CONVENTIONS = ("main", "appc")
 FORMAT_VERSION = 1
+CONVENTION_TAG = "main"     # the current scaling named in every record file
 RNG_ALGORITHM = "pcg64-seedseq-spawn"
 
 
@@ -63,13 +56,10 @@ class PhotocurrentRecord:
     params: ModelParams          # with B = B_true used for generation
     seed: int                    # root seed
     spawn_key: tuple             # () for a directly seeded record, (k,) in a batch
-    convention_tag: str = "main"
     rng_algorithm: str = RNG_ALGORITHM
     format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
-        if self.convention_tag not in CONVENTIONS:
-            raise ValueError(f"unknown convention_tag {self.convention_tag!r}")
         if len(self.increments) < 1:
             raise ValueError("record must contain at least one increment")
         if not np.all(np.isfinite(self.increments)):
@@ -82,18 +72,12 @@ class PhotocurrentRecord:
     def grid(self) -> TimeGrid:
         return TimeGrid(t_final=self.t_final, n_steps=self.n_steps)
 
-    def as_main_convention(self) -> np.ndarray:
-        """Increments rescaled to the "main" convention (no-op for main)."""
-        if self.convention_tag == "main":
-            return self.increments
-        return self.increments * math.sqrt(2.0)
-
 
 def filter_coefficients(params: ModelParams, grid: TimeGrid):
     """Per-step filter coefficients on the left endpoints of the grid cells.
 
     Returns (c, K, drift) with
-      c_i     = 2 sqrt(eta kappa Jbar_i)     mean-current coefficient ("main")
+      c_i     = 2 sqrt(eta kappa Jbar_i)     mean-current coefficient
       K_i     = 2 Var_i sqrt(eta kappa Jbar_i)    innovation gain
       drift_i = gamma * sqrt(Jbar_i) * dt         per-step field drift of -<P>/B
 
@@ -120,10 +104,10 @@ def filter_coefficients(params: ModelParams, grid: TimeGrid):
 def filter_split(params: ModelParams, grid: TimeGrid):
     """Record-independent half of the filter run at a candidate field B.
 
-    Returns (beta, residual): the innovations of a record dy ("main"
-    convention) at field B are residual(dy) - beta B.  The filter's mean
-    <P>_i(B) = A_i B + Psi_i, with A driven by the field drift and Psi by
-    the record through the same recursion, damped by phi_i = 1 - c_i K_i dt.
+    Returns (beta, residual): the innovations of a record dy at field B are
+    residual(dy) - beta B.  The filter's mean <P>_i(B) = A_i B + Psi_i, with
+    A driven by the field drift and Psi by the record through the same
+    recursion, damped by phi_i = 1 - c_i K_i dt.
     With Pi the running product of phi (at least 1/(1 + 4 eta J)), A_i and
     Psi_i are Pi_i times prefix sums of -drift_j / Pi_{j+1} and
     K_j dy_j / Pi_{j+1}; r_i = dy_i - c_i Psi_i dt and beta_i = c_i A_i dt.
@@ -143,8 +127,7 @@ def filter_split(params: ModelParams, grid: TimeGrid):
 
 
 def _draw(params: ModelParams, grid: TimeGrid, coefficients, seed: int,
-          convention_tag: str, seedseq: np.random.SeedSequence,
-          spawn_key: tuple) -> PhotocurrentRecord:
+          seedseq: np.random.SeedSequence, spawn_key: tuple) -> PhotocurrentRecord:
     """Vectorized generation of one record under B_true = params.B."""
     c, K, drift = coefficients
     rng = np.random.default_rng(seedseq)
@@ -154,29 +137,25 @@ def _draw(params: ModelParams, grid: TimeGrid, coefficients, seed: int,
     steps = -params.B * drift + K * dW
     mean_p = np.concatenate(([0.0], np.cumsum(steps[:-1])))
     dy = c * mean_p * grid.dt + dW
-    if convention_tag == "appc":
-        dy = dy / math.sqrt(2.0)
     return PhotocurrentRecord(increments=dy, dt=grid.dt, t_final=grid.t_final,
                               params=params, seed=int(seed),
-                              spawn_key=tuple(spawn_key),
-                              convention_tag=convention_tag)
+                              spawn_key=tuple(spawn_key))
 
 
 def simulate_record(params: ModelParams, grid: TimeGrid, seed: int,
-                    convention_tag: str = "main",
                     _seedseq: np.random.SeedSequence | None = None,
                     _spawn_key: tuple = ()) -> PhotocurrentRecord:
     """Simulate one photocurrent record; deterministic in (params, grid, seed)."""
     ss = _seedseq if _seedseq is not None else np.random.SeedSequence(seed)
-    return _draw(params, grid, filter_coefficients(params, grid), seed,
-                 convention_tag, ss, _spawn_key)
+    return _draw(params, grid, filter_coefficients(params, grid), seed, ss,
+                 _spawn_key)
 
 
 _POOL_CHUNK = 16   # records drawn ahead by a thread pool
 
 
 def _batch_stream(params: ModelParams, grid: TimeGrid, n_records: int,
-                  seed_base: int, convention_tag: str, threads: int):
+                  seed_base: int, threads: int):
     """The records of batch_simulate in order, drawn as they are consumed:
     at most _POOL_CHUNK of them exist at once with a pool, one without."""
     if n_records < 1:
@@ -185,8 +164,7 @@ def _batch_stream(params: ModelParams, grid: TimeGrid, n_records: int,
 
     def make(k: int) -> PhotocurrentRecord:
         ss = np.random.SeedSequence(entropy=seed_base, spawn_key=(k,))
-        return _draw(params, grid, coefficients, seed_base, convention_tag,
-                     ss, (k,))
+        return _draw(params, grid, coefficients, seed_base, ss, (k,))
 
     def pooled():
         from concurrent.futures import ThreadPoolExecutor
@@ -199,8 +177,7 @@ def _batch_stream(params: ModelParams, grid: TimeGrid, n_records: int,
 
 
 def batch_simulate(params: ModelParams, grid: TimeGrid, n_records: int,
-                   seed_base: int, convention_tag: str = "main",
-                   threads: int = 1) -> list[PhotocurrentRecord]:
+                   seed_base: int, threads: int = 1) -> list[PhotocurrentRecord]:
     """Independent records with per-record substreams spawned from seed_base.
 
     Record k uses SeedSequence(seed_base, spawn_key=(k,)), so the collection
@@ -208,15 +185,14 @@ def batch_simulate(params: ModelParams, grid: TimeGrid, n_records: int,
     it is byte-identical to simulate_record with that seed sequence.  The
     filter coefficients are computed once for the whole batch.
     """
-    return list(_batch_stream(params, grid, n_records, seed_base,
-                              convention_tag, threads))
+    return list(_batch_stream(params, grid, n_records, seed_base, threads))
 
 
 def record_residuals(record: PhotocurrentRecord) -> np.ndarray:
     """Normalized innovations (dy_i - m_i dt)/sqrt(dt) under the generating
     parameters; i.i.d. standard normal when the record is self-consistent."""
     beta, residual = filter_split(record.params, record.grid())
-    r = residual(record.as_main_convention())
+    r = residual(record.increments)
     return (r - beta * record.params.B) / math.sqrt(record.grid().dt)
 
 
@@ -233,7 +209,7 @@ def save_record(record: PhotocurrentRecord, path) -> None:
              dt=np.float64(record.dt), t_final=np.float64(record.t_final),
              seed=np.int64(record.seed),
              spawn_key=np.asarray(record.spawn_key, dtype=np.int64),
-             convention_tag=np.str_(record.convention_tag),
+             convention_tag=np.str_(CONVENTION_TAG),
              rng_algorithm=np.str_(record.rng_algorithm),
              format_version=np.int64(record.format_version))
 
@@ -244,6 +220,10 @@ def load_record(path) -> PhotocurrentRecord:
         version = int(z["format_version"])
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported record format version {version}")
+        tag = str(z["convention_tag"])
+        if tag != CONVENTION_TAG:
+            raise ValueError(f"record {path} uses current convention {tag!r}; "
+                             f"only {CONVENTION_TAG!r} is supported")
         params = ModelParams(J=float(z["J"]), kappa=float(z["kappa"]),
                              gamma=float(z["gamma"]), eta=float(z["eta"]),
                              B=float(z["B"]))
@@ -252,6 +232,5 @@ def load_record(path) -> PhotocurrentRecord:
             dt=float(z["dt"]), t_final=float(z["t_final"]),
             params=params, seed=int(z["seed"]),
             spawn_key=tuple(int(k) for k in z["spawn_key"]),
-            convention_tag=str(z["convention_tag"]),
             rng_algorithm=str(z["rng_algorithm"]),
             format_version=version)

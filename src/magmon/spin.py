@@ -55,7 +55,6 @@ from scipy.special import gammaln
 
 from .information import ultimate_qfi_closed
 from .model import ModelParams, TimeGrid
-from .records import PhotocurrentRecord
 
 __all__ = [
     "SpinOperators",
@@ -85,10 +84,6 @@ class SpinOperators:
     jx: np.ndarray
     jy: np.ndarray
     jz: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(round(2 * self.J)) + 1
 
 
 @dataclass(frozen=True)
@@ -201,46 +196,21 @@ def _half_step_factors(params: ModelParams, dt: float, m: np.ndarray):
     return np.exp(-0.25 * params.kappa * dt * (mdiff2 + params.eta * mplus2))
 
 
-def evolve_conditional(rho0, params: ModelParams, grid: TimeGrid,
-                       seed: int | None = None,
-                       noise: np.ndarray | None = None,
-                       record=None):
+def evolve_conditional(rho0, params: ModelParams, grid: TimeGrid, seed: int):
     """Single conditional trajectory; returns (nodes, increments).
 
-    Exactly one noise source must be given: a seed (innovations are drawn),
-    an explicit innovation array dW, or an observed record to filter along
-    (a PhotocurrentRecord or a plain increment vector; records are rescaled
-    to the main current convention first).  When generating, increments obey
+    The innovations dW are drawn from seed, and the increments obey
     dy = 2 sqrt(eta kappa) <Jz> dt + dW.  With eta = 0 the measurement factor
     collapses to the deterministic dephasing and the trajectory coincides
     with evolve_unconditional.  Positivity is checked every max(1, n // 20)
     steps and at the last one.
     """
-    sources = sum(x is not None for x in (seed, noise, record))
-    if sources != 1:
-        raise ValueError("pass exactly one of seed, noise, record")
     d = _check_spin(params.J)
     m = _m_values(params.J, d)
     rho = _as_density(rho0, d)
     n, dt = grid.n_steps, grid.dt
-
-    observed = None
-    if record is not None:
-        if isinstance(record, PhotocurrentRecord):
-            if record.n_steps != n or not math.isclose(record.dt, dt, rel_tol=1e-9):
-                raise ValueError("record grid does not match the requested grid")
-            observed = record.as_main_convention()
-        else:
-            observed = np.asarray(record, dtype=float)
-            if observed.shape != (n,):
-                raise ValueError(f"record has shape {observed.shape}, expected {(n,)}")
-    elif noise is not None:
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != (n,):
-            raise ValueError(f"noise has shape {noise.shape}, expected {(n,)}")
-    else:
-        noise = np.random.default_rng(np.random.SeedSequence(seed)).normal(
-            0.0, math.sqrt(dt), size=n)
+    noise = np.random.default_rng(np.random.SeedSequence(seed)).normal(
+        0.0, math.sqrt(dt), size=n)
 
     sqk = math.sqrt(params.eta * params.kappa)
     half = _half_step_factors(params, dt, m)
@@ -252,10 +222,7 @@ def evolve_conditional(rho0, params: ModelParams, grid: TimeGrid,
     increments = np.empty(n)
     for k in range(n):
         jz_mean = float(np.einsum("ii,i->", rho, m).real)
-        if observed is not None:
-            dy = float(observed[k])
-        else:
-            dy = 2.0 * sqk * jz_mean * dt + noise[k]
+        dy = 2.0 * sqk * jz_mean * dt + noise[k]
         increments[k] = dy
         eh = np.exp((0.5 * sqk * dy) * m)
         gram_half = half * np.outer(eh, eh)

@@ -105,12 +105,11 @@ def test_prefix_matches_truncation():
     rec = simulate_record(P, GRID, seed=9)
     steps = [0, 1, 1000, 20000, GRID.n_steps]
     table = coefficient_table([rec], steps)
-    assert (table.S_rr[0, 0], table.S_rA[0, 0], table.S_AA[0]) == (0.0, 0.0, 0.0)
+    assert (table.S_rA[0, 0], table.S_AA[0]) == (0.0, 0.0)
     for i, k in enumerate(steps[1:], start=1):
         cut = coefficient_table([_cut(rec, k)], [k])
-        assert (table.S_rr[0, i], table.S_rA[0, i], table.S_AA[i]) == \
-            pytest.approx((cut.S_rr[0, 0], cut.S_rA[0, 0], cut.S_AA[0]),
-                          rel=1e-12, abs=1e-15)
+        assert (table.S_rA[0, i], table.S_AA[i]) == \
+            pytest.approx((cut.S_rA[0, 0], cut.S_AA[0]), rel=1e-12, abs=1e-15)
 
 
 def test_prefix_rejects_bad_steps():
@@ -126,17 +125,6 @@ def test_incompatible_records_rejected():
     rec_b = simulate_record(P.replace(J=5e3), GRID, seed=1)
     with pytest.raises(ValueError, match="parameters"):
         posterior([rec_a, rec_b], PRIOR)
-    rec_c = simulate_record(P, GRID, seed=1, convention_tag="appc")
-    with pytest.raises(ValueError, match="convention"):
-        posterior([rec_a, rec_c], PRIOR)
-
-
-def test_convention_does_not_change_inference():
-    main = simulate_record(P, GRID, seed=22, convention_tag="main")
-    appc = simulate_record(P, GRID, seed=22, convention_tag="appc")
-    pm = posterior([main], PRIOR)
-    pa = posterior([appc], PRIOR)
-    np.testing.assert_allclose(pa.posterior, pm.posterior, rtol=1e-9)
 
 
 def test_saturation_curve_shape():
@@ -205,7 +193,7 @@ def _regime(name):
                                   "centre far outside the prior"])
 def test_estimate_matches_mpmath(name):
     post = _regime(name)
-    _, S_rA, S_AA = post.coefficients
+    S_rA, S_AA = post.coefficients
     summ = estimate(post)
     lo, hi = PRIOR
     if name == "S_AA = 0":

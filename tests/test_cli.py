@@ -288,12 +288,7 @@ def test_simulate_rejects_threads_below_one(config_path, tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,key,value", [
-    ("simulate", "n_steps", 1000.7), ("simulate", "seed", 3.9),
-    ("simulate", "n_records", 2.5), ("estimate", "n_grid", 201.5),
-    ("estimate", "n_checkpoints", 4.2)])
-def test_non_integral_config_values_exit_1(tmp_path, capsys, command, key,
-                                           value):
+def _bad_config_exits_1(tmp_path, capsys, command, key, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(CONFIG, **{key: value})))
     out = tmp_path / "o"
@@ -301,3 +296,28 @@ def test_non_integral_config_values_exit_1(tmp_path, capsys, command, key,
     err = capsys.readouterr().err
     assert "magmon: error:" in err and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate", "n_steps", 1000.7), ("simulate", "seed", 3.9),
+    ("simulate", "n_records", 2.5), ("estimate", "n_grid", 201.5),
+    ("estimate", "n_checkpoints", 4.2)])
+def test_non_integral_config_values_exit_1(tmp_path, capsys, command, key,
+                                           value):
+    _bad_config_exits_1(tmp_path, capsys, command, key, value)
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate", "J", "100"), ("simulate", "eta", True),
+    ("simulate", "t_final", float("inf")), ("estimate", "prior_lo", "-0.2"),
+    ("estimate", "prior_hi", None), ("info-sweep", "kappa", True),
+    ("info-sweep", "gamma", "1"), ("info-sweep", "J_values", ["1e2"])])
+def test_non_real_config_values_exit_1(tmp_path, capsys, command, key, value):
+    _bad_config_exits_1(tmp_path, capsys, command, key, value)
+
+
+@pytest.mark.parametrize("command,key", [
+    ("simulate", "convention"), ("simulate", "n_record"),
+    ("estimate", "convention"), ("info-sweep", "eta_value")])
+def test_unknown_config_keys_exit_1(tmp_path, capsys, command, key):
+    _bad_config_exits_1(tmp_path, capsys, command, key, "main")

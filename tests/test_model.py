@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from magmon.model import ModelParams, TimeGrid, jbar, load_config, save_config
+from magmon.model import ModelParams, TimeGrid, jbar, load_config
 
 
 def test_params_validation():
@@ -57,7 +57,8 @@ def test_config_round_trip(tmp_path):
     p = ModelParams(J=1e4, kappa=1.0, gamma=0.7, eta=0.8, B=1e-3)
     g = TimeGrid(t_final=1.0, n_steps=1000)
     path = tmp_path / "c.json"
-    save_config(path, p, g, seed=99)
+    path.write_text(json.dumps(dict(p.as_dict(), t_final=g.t_final,
+                                    n_steps=g.n_steps, seed=99)))
     p2, g2, seed = load_config(path)
     assert p2 == p and g2 == g and seed == 99
 
@@ -70,6 +71,20 @@ def test_config_integer_keys_are_not_truncated(tmp_path):
     _, grid, _ = load_config(path)
     assert type(grid.n_steps) is int and grid.n_steps == 10000
     for key, bad in (("n_steps", 1000.7), ("seed", 3.9)):
+        path.write_text(json.dumps(dict(base, **{key: bad})))
+        with pytest.raises(ValueError, match=key):
+            load_config(path)
+
+
+def test_config_real_keys_are_not_coerced(tmp_path):
+    base = {"J": 10.0, "kappa": 1, "gamma": 1.0, "eta": 1.0, "B": 0.0,
+            "t_final": 1.0, "n_steps": 10, "seed": 3}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(base))
+    params, _, _ = load_config(path)
+    assert type(params.kappa) is float and params.kappa == 1.0
+    for key, bad in (("J", "1e4"), ("eta", True), ("B", None),
+                     ("t_final", math.inf), ("gamma", math.nan)):
         path.write_text(json.dumps(dict(base, **{key: bad})))
         with pytest.raises(ValueError, match=key):
             load_config(path)

@@ -43,7 +43,7 @@ def test_batch_records_are_independent_streams():
 
 
 def test_roundtrip_exact(tmp_path):
-    rec = simulate_record(P.replace(B=2e-3), GRID, seed=5, convention_tag="appc")
+    rec = simulate_record(P.replace(B=2e-3), GRID, seed=5)
     path = tmp_path / "rec.npz"
     save_record(rec, path)
     back = load_record(path)
@@ -51,7 +51,6 @@ def test_roundtrip_exact(tmp_path):
     assert back.params == rec.params
     assert back.seed == rec.seed
     assert back.spawn_key == rec.spawn_key
-    assert back.convention_tag == "appc"
     assert back.dt == rec.dt and back.t_final == rec.t_final
 
 
@@ -64,6 +63,42 @@ def test_load_rejects_future_format(tmp_path):
     payload["format_version"] = np.int64(99)
     np.savez(path, **payload)
     with pytest.raises(ValueError):
+        load_record(path)
+
+
+def _savez_as_format_1(path, rec, tag):
+    """A record file with the members and types format 1 has always had."""
+    p = rec.params
+    np.savez(path, increments=rec.increments, J=np.float64(p.J),
+             kappa=np.float64(p.kappa), gamma=np.float64(p.gamma),
+             eta=np.float64(p.eta), B=np.float64(p.B), dt=np.float64(rec.dt),
+             t_final=np.float64(rec.t_final), seed=np.int64(rec.seed),
+             spawn_key=np.asarray(rec.spawn_key, dtype=np.int64),
+             convention_tag=np.str_(tag), rng_algorithm=np.str_(rec.rng_algorithm),
+             format_version=np.int64(1))
+
+
+def test_format_1_files_load_and_write_unchanged(tmp_path):
+    rec = batch_simulate(P.replace(B=2e-3), GRID, n_records=2, seed_base=5)[1]
+    old, new = tmp_path / "old.npz", tmp_path / "new.npz"
+    _savez_as_format_1(old, rec, "main")
+    back = load_record(old)
+    assert back.increments.tobytes() == rec.increments.tobytes()
+    assert back.params == rec.params and back.spawn_key == (1,)
+    save_record(back, new)
+    with np.load(old) as a, np.load(new) as b:
+        assert sorted(a.files) == sorted(b.files)
+        for name in a.files:
+            assert a[name].dtype == b[name].dtype, name
+            assert a[name].tobytes() == b[name].tobytes(), name
+
+
+def test_load_rejects_other_current_conventions(tmp_path):
+    # "appc" files held the current divided by sqrt(2); reading one as
+    # "main" data would silently shrink the signal.
+    path = tmp_path / "appc.npz"
+    _savez_as_format_1(path, simulate_record(P, GRID, seed=5), "appc")
+    with pytest.raises(ValueError, match="appc"):
         load_record(path)
 
 
@@ -91,16 +126,6 @@ def test_eta_zero_record_is_pure_noise():
     assert np.all(c == 0.0) and np.all(K == 0.0)
 
 
-def test_appc_is_exact_rescale_of_main():
-    main = simulate_record(P, GRID, seed=8, convention_tag="main")
-    appc = simulate_record(P, GRID, seed=8, convention_tag="appc")
-    # generated from the same draws, then divided once
-    assert np.array_equal(appc.increments, main.increments / math.sqrt(2.0))
-    np.testing.assert_allclose(appc.as_main_convention(), main.increments,
-                               rtol=1e-14, atol=0.0)
-    assert main.as_main_convention() is main.increments
-
-
 def test_coarse_grid_rejected():
     coarse = TimeGrid(t_final=1.0, n_steps=100)  # 2*eta*kappa*J*dt = 200
     with pytest.raises(ValueError, match="too coarse"):
@@ -108,9 +133,6 @@ def test_coarse_grid_rejected():
 
 
 def test_record_validation():
-    with pytest.raises(ValueError, match="convention_tag"):
-        PhotocurrentRecord(increments=np.zeros(4), dt=0.1, t_final=0.4,
-                           params=P, seed=0, spawn_key=(), convention_tag="odd")
     with pytest.raises(ValueError, match="non-finite"):
         PhotocurrentRecord(increments=np.array([0.0, np.nan]), dt=0.1,
                            t_final=0.2, params=P, seed=0, spawn_key=())
@@ -127,12 +149,10 @@ def test_grid_reconstruction():
     assert g.dt == pytest.approx(GRID.dt, rel=1e-15)
 
 
-@pytest.mark.parametrize("convention", ["main", "appc"])
-def test_residuals_recover_the_generating_draws(convention):
+def test_residuals_recover_the_generating_draws():
     # Re-filtered at the generating field, the innovations are the Wiener
     # increments that made the record, draw for draw.
-    rec = simulate_record(P.replace(B=5e-3), GRID, seed=77,
-                          convention_tag=convention)
+    rec = simulate_record(P.replace(B=5e-3), GRID, seed=77)
     draws = np.random.default_rng(np.random.SeedSequence(77)).normal(
         0.0, math.sqrt(GRID.dt), GRID.n_steps)
     np.testing.assert_allclose(record_residuals(rec) * math.sqrt(GRID.dt),

@@ -34,7 +34,7 @@ def test_su2_algebra(J):
                     (ops.jz, ops.jx, ops.jy)]:
         assert np.max(np.abs(comm(a, b) - i * c)) < 1e-12 * max(J, 1.0)
     casimir = ops.jx @ ops.jx + ops.jy @ ops.jy + ops.jz @ ops.jz
-    expected = J * (J + 1.0) * np.eye(ops.dim)
+    expected = J * (J + 1.0) * np.eye(len(ops.jz))
     assert np.max(np.abs(casimir - expected)) < 1e-10 * max(J * J, 1.0)
 
 
@@ -89,7 +89,7 @@ def test_conditional_without_detection_is_unconditional():
     p = ModelParams(J=J, kappa=1.0, gamma=1.0, eta=0.0, B=1e-3)
     grid = TimeGrid(t_final=0.5, n_steps=200)
     rho0 = spin_coherent_x(J).density()
-    nodes_c, _ = evolve_conditional(rho0, p, grid, noise=np.zeros(grid.n_steps))
+    nodes_c, _ = evolve_conditional(rho0, p, grid, seed=1)
     nodes_u = evolve_unconditional(rho0, p, grid)
     np.testing.assert_allclose(nodes_c, nodes_u, rtol=0.0, atol=1e-12)
 
@@ -100,22 +100,11 @@ def test_conditional_replay_determinism():
     grid = TimeGrid(t_final=0.3, n_steps=150)
     rho0 = spin_coherent_x(J).density()
     nodes_a, inc = evolve_conditional(rho0, p, grid, seed=3)
-    nodes_b, inc_b = evolve_conditional(rho0, p, grid, record=inc)
-    np.testing.assert_allclose(nodes_b, nodes_a, rtol=0.0, atol=1e-13)
-    assert np.array_equal(inc, inc_b)
-
-
-def test_conditional_source_exclusivity():
-    J = 2.0
-    p = ModelParams(J=J, kappa=1.0, gamma=1.0, eta=1.0, B=0.0)
-    grid = TimeGrid(t_final=0.1, n_steps=10)
-    rho0 = spin_coherent_x(J).density()
-    with pytest.raises(ValueError, match="exactly one"):
-        evolve_conditional(rho0, p, grid)
-    with pytest.raises(ValueError, match="exactly one"):
-        evolve_conditional(rho0, p, grid, seed=1, noise=np.zeros(10))
-    with pytest.raises(ValueError):
-        evolve_conditional(rho0, p, grid, noise=np.zeros(7))
+    nodes_b, inc_b = evolve_conditional(rho0, p, grid, seed=3)
+    assert nodes_a.tobytes() == nodes_b.tobytes()
+    assert inc.tobytes() == inc_b.tobytes()
+    _, inc_c = evolve_conditional(rho0, p, grid, seed=4)
+    assert not np.array_equal(inc, inc_c)
 
 
 def test_conditional_variance_approaches_gaussian():
@@ -195,8 +184,8 @@ def test_fisher_tau_deterministic_and_chunk_invariant():
 def _stepped_tau_batch(p, grid, n_traj, seed):
     """Step-by-step (rho, tau) filter on the score sampler's own draws:
     returns per-trajectory scores, conditional QFIs and final states."""
-    d = build_spin_operators(p.J).dim
     jy = build_spin_operators(p.J).jy
+    d = len(jy)
     m = p.J - np.arange(d)
     n, dt = grid.n_steps, grid.dt
     sqk = math.sqrt(p.eta * p.kappa)
