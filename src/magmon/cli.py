@@ -3,7 +3,7 @@
 Four subcommands cover the workflow end to end:
 
     magmon info-sweep  --out DIR [--config FILE]
-    magmon simulate    --config FILE --out DIR [--seed N] [--threads N]
+    magmon simulate    --config FILE --out DIR [--seed N]
     magmon estimate    --config FILE --out DIR RECORD.npz [RECORD.npz ...]
     magmon verify      [--out DIR]
 
@@ -48,13 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
-
-
 def _build_parser() -> _Parser:
     p = _Parser(prog="magmon",
                 description="Field-estimation toolkit for a continuously "
@@ -73,8 +66,6 @@ def _build_parser() -> _Parser:
     common(sp, need_config=True)
     sp.add_argument("--seed", type=int, default=None,
                     help="override the config seed")
-    sp.add_argument("--threads", type=_positive_int, default=1,
-                    help="worker threads (output order is independent)")
 
     sp = sub.add_parser("estimate", help="posterior inference from records")
     common(sp, need_config=True)
@@ -123,10 +114,13 @@ def cmd_info_sweep(args) -> int:
     kappa = model.as_real("kappa", extras.get("kappa", 1.0))
     gamma = model.as_real("gamma", extras.get("gamma", 1.0))
     template = model.ModelParams(J=1.0, kappa=kappa, gamma=gamma, eta=1.0, B=0.0)
-    axes = [tuple(model.as_real(key, x) for x in extras.get(key, default))
-            for key, default in (("J_values", SWEEP_J),
-                                 ("kappa_t_values", SWEEP_KAPPA_T),
-                                 ("eta_values", SWEEP_ETA))]
+    axes = []
+    for key, default in (("J_values", SWEEP_J), ("kappa_t_values", SWEEP_KAPPA_T),
+                         ("eta_values", SWEEP_ETA)):
+        values = extras.get(key, default)
+        if not isinstance(values, (list, tuple)):
+            raise UsageError(f"{key} must be a list, got {values!r}")
+        axes.append(tuple(model.as_real(key, x) for x in values))
     if not all(axes):
         raise UsageError("sweep lists must be non-empty")
     j_values, kappa_t_values, eta_values = axes
@@ -154,7 +148,7 @@ def cmd_simulate(args) -> int:
     extras = _read_extras(args.config)
     n_records = model.as_int("n_records", extras.get("n_records", 4))
     # Each record is written as it is drawn, so the batch is never held whole.
-    batch = records._batch_stream(params, grid, n_records, seed, args.threads)
+    batch = records._batch_stream(params, grid, n_records, seed)
     out = _outdir(args)
     files = []
     for k, rec in enumerate(batch):

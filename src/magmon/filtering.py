@@ -70,9 +70,8 @@ def sensitivity_closed(params: ModelParams, t):
 def rk4(f, y0, times, substeps) -> list:
     """Classical RK4 through the nodes of times; returns the state at each node.
 
-    The state is a list of floats (real or complex) and f(t, y) returns its
-    derivative as a list.  Each cell [t0, t1] is crossed in substeps(t0, t1-t0)
-    equal steps.
+    The state is a list of real floats and f(t, y) returns its derivative as
+    a list.  Each cell [t0, t1] is crossed in substeps(t0, t1-t0) equal steps.
     """
     times = np.asarray(times, dtype=float).tolist()
     y = list(y0)

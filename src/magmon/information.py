@@ -9,18 +9,19 @@ Quantities (all in 1/Gauss^2, evaluated at interrogation time t):
             Q = s^2 / Var_c[P]  (parameter enters first moments only)
   Q_tilde   effective information F_record + Q_cond, the record + final strong
             measurement budget; identically equal to K1*J + eta*K2*J^2
-  Q_bar     information of the joint system-environment pure state, computed
-            from a two-field master equation whose trace C(t) is a Gaussian
-            function of B1-B2; Q_bar = 4 d^2 log C / dB1 dB2 = Q_tilde(eta=1)
+  Q_bar     information of the joint system-environment pure state, from the
+            two-field trace C = exp(-q (B1-B2)^2); Q_bar = 8 q = Q_tilde(eta=1),
+            integrated as one real flow by ultimate_qfi_ode
 
 with the coefficients (g = gamma/kappa, v = 1 - e^{-kappa t/4})
 
   K1 = 32 g^2 v^2,        K2 = (64/3) g^2 v^3 (4 - v).
 
-All closed forms are implemented in cancellation-free form (expm1-based);
-the raw textbook expressions subtract nearly equal exponentials and lose up
-to eight digits below kappa*t ~ 1e-2, which matters at the tolerances the
-cross-checks run at.  The algebraic equivalence is covered by tests.
+All closed forms are written in v = -expm1(-kappa t/4) and x = 1 - v, which
+both lie in [0, 1]: they neither cancel at small kappa*t (the textbook
+expressions subtract nearly equal exponentials and lose up to eight digits
+below kappa*t ~ 1e-2) nor overflow at large kappa*t, where they saturate.
+The algebraic equivalence is covered by tests.
 
 F_record and Q_cond are checked against the integrated (Var, s, F) flow
 filtering.gaussian_flow by checks.closed_vs_integrated.
@@ -44,7 +45,6 @@ __all__ = [
     "effective_qfi",
     "ultimate_qfi_closed",
     "ultimate_qfi_ode",
-    "gen_me_solution",
     "scaling_slope",
     "REPORT_COLUMNS",
 ]
@@ -83,18 +83,19 @@ def _reduced(params: ModelParams, t):
 def fisher_record_closed(params: ModelParams, t):
     """Classical FI of the record up to time t, closed form.
 
-    F = (64 g^2 eta J^2 / 9) e^{-kt} u^3 [4 eta J u (6+6u+u^2) + 12+27u+18u^2+3u^3]
-        / (1 + (4 eta J + 1) w),   u = e^{kt/4}-1, w = e^{kt/2}-1.
+    F = (64 g^2 eta J^2 / 9) v^3 [a v (6x^2+6vx+v^2) + 12x^3+27vx^2+18v^2x+3v^3]
+        / (x^2 + (a+1) v (1+x)),   a = 4 eta J, v = 1-e^{-kt/4}, x = 1-v.
 
     Monotone increasing in t; zero at t=0 and for eta=0.
     """
     g, eta, J, kt = _reduced(params, t)
     a = 4.0 * eta * J
-    u = np.expm1(kt / 4.0)
-    w = np.expm1(kt / 2.0)
-    brack = a * u * (6.0 + 6.0 * u + u * u) + 12.0 + u * (27.0 + u * (18.0 + 3.0 * u))
-    out = (64.0 * g * g * eta * J * J / 9.0) * np.exp(-kt) * u ** 3 \
-        * brack / (1.0 + (a + 1.0) * w)
+    v = -np.expm1(-kt / 4.0)
+    x = 1.0 - v
+    brack = a * v * (6.0 * x * x + 6.0 * v * x + v * v) \
+        + x * (x * (12.0 * x + 27.0 * v) + 18.0 * v * v) + 3.0 * v ** 3
+    out = (64.0 * g * g * eta * J * J / 9.0) * v ** 3 \
+        * brack / (x * x + (a + 1.0) * v * (1.0 + x))
     return out if out.ndim else float(out)
 
 
@@ -143,63 +144,42 @@ def ultimate_qfi_closed(params: ModelParams, t):
     """Ultimate information Q_bar = 8 q(t), from the two-field trace
     C = exp(-q (B1-B2)^2) with
 
-        q = (4 g^2 / 3) J e^{-kt} u^2 (3 + (8J+6) u + (6J+3) u^2),
-        u = e^{kt/4} - 1.
+        q = (4 g^2 / 3) J v^2 (3x^2 + (8J+6) v x + (6J+3) v^2),
+        v = 1 - e^{-kt/4},  x = 1 - v.
 
     Independent of eta; equals Q_tilde at eta = 1.
     """
     g, _, J, kt = _reduced(params, t)
-    u = np.expm1(kt / 4.0)
-    q = (4.0 * g * g / 3.0) * J * np.exp(-kt) * u * u \
-        * (3.0 + (8.0 * J + 6.0) * u + (6.0 * J + 3.0) * u * u)
-    out = 8.0 * q
+    v = -np.expm1(-kt / 4.0)
+    x = 1.0 - v
+    out = (32.0 * g * g / 3.0) * J * v * v \
+        * (3.0 * x * x + (8.0 * J + 6.0) * v * x + (6.0 * J + 3.0) * v * v)
     return out if out.ndim else float(out)
 
 
-def gen_me_solution(params: ModelParams, t: float, B1: float,
-                    B2: float) -> complex:
-    """Two-field trace C at time t for one (B1, B2) pair, from the phase-space
-    system
+def ultimate_qfi_ode(params: ModelParams, t: float) -> float:
+    """Ultimate information Q_bar by integrating the two-field system.
+
+    The trace's off-diagonal moment is x_m = -i (gamma/2) (B1-B2) Y, so
+    log C = -(gamma^2/2) (B1-B2)^2 int sqrt(Jbar) Y exactly, and
+    Q_bar = 8 q is the end value Q(t) of the real flow
 
         dsigma11/dt = 2 kappa Jbar
-        dx_m/dt     = -i (gamma/2) sqrt(Jbar) (B1-B2) sigma11
-        dC/dt       = -i gamma sqrt(Jbar) (B1-B2) x_m C
+        dY/dt       = sqrt(Jbar) sigma11
+        dQ/dt       = 4 gamma^2 sqrt(Jbar) Y
 
-    from sigma11=1, x_m=0, C=1, in 4000 fixed RK4 steps (the system is smooth
-    and non-stiff).  C is real positive here, = exp(-q (B1-B2)^2); for
-    B1 == B2 it stays exactly 1.
+    from (1, 0, 0), in 4000 fixed RK4 steps (the system is smooth and
+    non-stiff).  No field enters, so no field difference is taken.
     """
-    ek, J, gam = params.kappa, params.J, params.gamma
-    dB = B1 - B2
+    _reduced(params, t)                 # rejects t < 0
+    ek, J, gam2 = params.kappa, params.J, params.gamma ** 2
 
     def f(tt, y):
-        s11, x, c = y
+        s11, Y, _ = y
         rj = math.sqrt(J) * math.exp(-ek * tt / 4.0)
-        return [2.0 * ek * rj * rj,
-                -0.5j * gam * rj * dB * s11,
-                -1j * gam * rj * dB * x * c]
+        return [2.0 * ek * rj * rj, rj * s11, 4.0 * gam2 * rj * Y]
 
-    return rk4(f, [1.0, 0j, 1 + 0j], np.linspace(0.0, t, 4001),
-               lambda t0, _: 1)[-1][2]
-
-
-def ultimate_qfi_ode(params: ModelParams, t: float) -> float:
-    """Ultimate information via the integrated two-field system.
-
-    log|C| = -q (B1-B2)^2 exactly for this model, so one off-diagonal pair
-    (B + delta, B - delta) gives Q_bar = 8 q = -2 log|C| / delta^2.  The
-    step delta is sized so |log C| ~ 1e-4, using the closed form as a scale
-    hint; it only needs to beat roundoff.
-    """
-    if t == 0:
-        return 0.0
-    q_hint = max(ultimate_qfi_closed(params, t) / 8.0, 1e-12)
-    delta_b = 0.5 * math.sqrt(1e-4 / q_hint)
-    B = params.B
-    mag = abs(gen_me_solution(params, t, B + delta_b, B - delta_b))
-    if not mag > 0:
-        raise RuntimeError("two-field trace underflowed")
-    return -2.0 * math.log(mag) / delta_b ** 2
+    return rk4(f, [1.0, 0.0, 0.0], (0.0, t), lambda t0, dt: 4000)[-1][2]
 
 
 def scaling_slope(params: ModelParams, t: float, quantity: str = "Q_tilde",

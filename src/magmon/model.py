@@ -92,8 +92,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.t_final > 0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+        if not (self.t_final > 0 and np.isfinite(self.t_final)):
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
         object.__setattr__(self, "n_steps", as_int("n_steps", self.n_steps))
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")

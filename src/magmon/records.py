@@ -151,13 +151,9 @@ def simulate_record(params: ModelParams, grid: TimeGrid, seed: int,
                  _spawn_key)
 
 
-_POOL_CHUNK = 16   # records drawn ahead by a thread pool
-
-
 def _batch_stream(params: ModelParams, grid: TimeGrid, n_records: int,
-                  seed_base: int, threads: int):
-    """The records of batch_simulate in order, drawn as they are consumed:
-    at most _POOL_CHUNK of them exist at once with a pool, one without."""
+                  seed_base: int):
+    """The records of batch_simulate in order, each drawn as it is consumed."""
     if n_records < 1:
         raise ValueError("n_records must be >= 1")
     coefficients = filter_coefficients(params, grid)
@@ -166,18 +162,11 @@ def _batch_stream(params: ModelParams, grid: TimeGrid, n_records: int,
         ss = np.random.SeedSequence(entropy=seed_base, spawn_key=(k,))
         return _draw(params, grid, coefficients, seed_base, ss, (k,))
 
-    def pooled():
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for start in range(0, n_records, _POOL_CHUNK):
-                yield from pool.map(make, range(start, min(start + _POOL_CHUNK,
-                                                           n_records)))
-
-    return pooled() if threads > 1 else map(make, range(n_records))
+    return map(make, range(n_records))
 
 
 def batch_simulate(params: ModelParams, grid: TimeGrid, n_records: int,
-                   seed_base: int, threads: int = 1) -> list[PhotocurrentRecord]:
+                   seed_base: int) -> list[PhotocurrentRecord]:
     """Independent records with per-record substreams spawned from seed_base.
 
     Record k uses SeedSequence(seed_base, spawn_key=(k,)), so the collection
@@ -185,7 +174,7 @@ def batch_simulate(params: ModelParams, grid: TimeGrid, n_records: int,
     it is byte-identical to simulate_record with that seed sequence.  The
     filter coefficients are computed once for the whole batch.
     """
-    return list(_batch_stream(params, grid, n_records, seed_base, threads))
+    return list(_batch_stream(params, grid, n_records, seed_base))
 
 
 def record_residuals(record: PhotocurrentRecord) -> np.ndarray:

@@ -112,17 +112,14 @@ def test_simulate_writes_records_and_manifest(config_path, tmp_path, capsys):
 
 
 def test_simulate_seed_override_and_determinism(config_path, tmp_path, capsys):
-    out1, out2, out3 = (tmp_path / n for n in ("r1", "r2", "r3"))
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):
         assert cli.main(["simulate", "--config", config_path,
                          "--out", str(out), "--seed", "99"]) == 0
-    assert cli.main(["simulate", "--config", config_path, "--out", str(out3),
-                     "--seed", "99", "--threads", "2"]) == 0
     name = "record_s99_k0000.npz"
     a = load_record(out1 / name).increments
     b = load_record(out2 / name).increments
-    c = load_record(out3 / name).increments
-    assert a.tobytes() == b.tobytes() == c.tobytes()
+    assert a.tobytes() == b.tobytes()
     capsys.readouterr()
 
 
@@ -277,15 +274,27 @@ def test_info_sweep_rejects_threads_option(tmp_path, capsys):
     assert "magmon: error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_simulate_rejects_threads_below_one(config_path, tmp_path, capsys,
-                                            threads):
+def test_simulate_rejects_threads_option(config_path, tmp_path, capsys):
     out = tmp_path / "r"
     rc = cli.main(["simulate", "--config", config_path, "--out", str(out),
-                   "--threads", threads])
+                   "--threads", "2"])
     assert rc == 1
     assert "magmon: error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_info_sweep_long_times_are_finite(tmp_path, capsys):
+    # the closed forms saturate rather than overflow to 0 or nan
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"kappa_t_values": [800.0, 1e4]}))
+    out = tmp_path / "sweep"
+    assert cli.main(["info-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    header, *rows = read_csv_rows(out / "info_sweep.csv")
+    values = np.array(rows, dtype=float)
+    assert np.all(np.isfinite(values)) and np.all(values > 0)
+    q_tilde, q_bar = (values[:, header.index(c)] for c in ("Q_tilde", "Q_bar"))
+    assert np.all(q_tilde <= q_bar * (1.0 + 1e-12))
+    capsys.readouterr()
 
 
 def _bad_config_exits_1(tmp_path, capsys, command, key, value):
@@ -311,7 +320,8 @@ def test_non_integral_config_values_exit_1(tmp_path, capsys, command, key,
     ("simulate", "J", "100"), ("simulate", "eta", True),
     ("simulate", "t_final", float("inf")), ("estimate", "prior_lo", "-0.2"),
     ("estimate", "prior_hi", None), ("info-sweep", "kappa", True),
-    ("info-sweep", "gamma", "1"), ("info-sweep", "J_values", ["1e2"])])
+    ("info-sweep", "gamma", "1"), ("info-sweep", "J_values", ["1e2"]),
+    ("info-sweep", "J_values", 5), ("info-sweep", "eta_values", 0.5)])
 def test_non_real_config_values_exit_1(tmp_path, capsys, command, key, value):
     _bad_config_exits_1(tmp_path, capsys, command, key, value)
 

@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 
 from magmon.filtering import gaussian_flow, sensitivity_closed, var_p_closed
 from magmon.information import (REPORT_COLUMNS, effective_qfi,
-                                fisher_record_closed, gen_me_solution,
-                                k_coefficients, qfi_conditional,
-                                scaling_slope, ultimate_qfi_closed,
-                                ultimate_qfi_ode)
+                                fisher_record_closed, k_coefficients,
+                                qfi_conditional, scaling_slope,
+                                ultimate_qfi_closed, ultimate_qfi_ode)
 from magmon.model import ModelParams, TimeGrid
 
 
@@ -146,25 +145,58 @@ def test_information_ratio_reference_point():
 
 
 def test_ultimate_ode_route():
-    for kt in (0.01, 1.0):
-        p = P(J=1e4)
-        got = ultimate_qfi_ode(p, kt)
-        assert got == pytest.approx(ultimate_qfi_closed(p, kt), rel=1e-6)
+    for J in (10.0, 1e6):
+        for kt in (0.01, 1.0, 3.0):
+            p = P(J=J)
+            assert ultimate_qfi_ode(p, kt) == pytest.approx(
+                ultimate_qfi_closed(p, kt), rel=1e-12)
 
 
-def test_gen_me_trace_preserved_on_diagonal():
-    assert abs(gen_me_solution(P(J=100.0), 1.0, 0.01, 0.01) - 1.0) < 1e-12
-
-
-def test_gen_me_swapped_fields_are_conjugate_and_t0_is_initial():
-    # ultimate_qfi_ode reads one off-diagonal corner; this relies on the
-    # swapped pair being the exact complex conjugate, bit for bit
+def test_ultimate_ode_route_is_field_free_and_starts_at_zero():
     p = P(J=1e4)
-    a = gen_me_solution(p, 0.1, 0.003, -0.002)
-    b = gen_me_solution(p, 0.1, -0.002, 0.003)
-    assert a == b.conjugate()
-    assert abs(a) < 1.0
-    assert gen_me_solution(p, 0.0, 0.003, -0.002) == 1.0
+    assert ultimate_qfi_ode(p.replace(B=0.37), 0.1) == ultimate_qfi_ode(p, 0.1)
+    assert ultimate_qfi_ode(p, 0.0) == 0.0
+    with pytest.raises(ValueError):
+        ultimate_qfi_ode(p, -0.1)
+
+
+# -- the whole parameter domain: J in [0.5, 1e12], kappa t in [1e-8, 1e4] --------
+
+LOG_J = st.floats(min_value=math.log10(0.5), max_value=12.0)
+LOG_KT = st.floats(min_value=-8.0, max_value=4.0)
+ETA = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(LOG_J, LOG_KT, ETA)
+@settings(max_examples=300, deadline=None)
+def test_closed_forms_hold_on_the_whole_domain(log_j, log_kt, eta):
+    J, kt = 10.0 ** log_j, 10.0 ** log_kt
+    rep = effective_qfi(P(J=J, eta=eta), kt)
+    forms = (rep.F_record, rep.Q_cond, rep.Q_tilde, rep.Q_bar, rep.K1, rep.K2)
+    assert all(math.isfinite(f) for f in forms)
+    assert rep.F_record >= 0.0 and min(forms[1:]) > 0.0
+    assert rep.Q_tilde == pytest.approx(rep.K1 * J + eta * rep.K2 * J * J,
+                                        rel=1e-9)
+    assert rep.Q_tilde <= rep.Q_bar * (1.0 + 1e-9)
+    full = effective_qfi(P(J=J, eta=1.0), kt)
+    assert full.Q_tilde == pytest.approx(full.Q_bar, rel=1e-9)
+
+
+@given(LOG_J, LOG_KT, LOG_KT, ETA)
+@settings(max_examples=300, deadline=None)
+def test_fisher_never_decreases_in_time(log_j, log_a, log_b, eta):
+    # saturated values may round down by ~1e-15, hence the 1e-12 allowance
+    p = P(J=10.0 ** log_j, eta=eta)
+    t1, t2 = sorted((10.0 ** log_a, 10.0 ** log_b))
+    assert fisher_record_closed(p, t2) >= fisher_record_closed(p, t1) * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("J", [0.5, 1e4, 1e12])
+@pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+def test_closed_forms_saturate_at_long_times(J, eta):
+    p = P(J=J, eta=eta)
+    late, settled = effective_qfi(p, 1e4).row(), effective_qfi(p, 300.0).row()
+    assert late[4:] == pytest.approx(settled[4:], rel=1e-12)
 
 
 def test_k_coefficients_positive_and_growing():

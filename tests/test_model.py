@@ -44,6 +44,11 @@ def test_time_grid():
         TimeGrid(t_final=1.0, n_steps=0)
 
 
+def test_time_grid_rejects_infinite_t_final():
+    with pytest.raises(ValueError, match="t_final"):
+        TimeGrid(t_final=math.inf, n_steps=10)
+
+
 def test_time_grid_integral_float_steps_become_int():
     g = TimeGrid(t_final=1.0, n_steps=10.0)
     assert type(g.n_steps) is int and g == TimeGrid(t_final=1.0, n_steps=10)

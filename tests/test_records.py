@@ -27,14 +27,6 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.increments, b.increments)
 
 
-def test_batch_thread_invariance():
-    serial = batch_simulate(P, GRID, n_records=6, seed_base=9)
-    pooled = batch_simulate(P, GRID, n_records=6, seed_base=9, threads=3)
-    for r1, r2 in zip(serial, pooled):
-        assert r1.increments.tobytes() == r2.increments.tobytes()
-        assert r1.spawn_key == r2.spawn_key
-
-
 def test_batch_records_are_independent_streams():
     records = batch_simulate(P, GRID, n_records=4, seed_base=123)
     seen = {r.increments.tobytes() for r in records}
@@ -159,10 +151,8 @@ def test_residuals_recover_the_generating_draws():
                                draws, rtol=1e-9)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_batch_record_is_the_single_record_of_its_stream(threads):
-    # 17 records: a thread pool draws them in more than one chunk
-    batch = batch_simulate(P, GRID, n_records=17, seed_base=21, threads=threads)
+def test_batch_record_is_the_single_record_of_its_stream():
+    batch = batch_simulate(P, GRID, n_records=17, seed_base=21)
     for k, rec in enumerate(batch):
         alone = simulate_record(P, GRID, 21,
                                 _seedseq=np.random.SeedSequence(21, spawn_key=(k,)),
