@@ -274,10 +274,13 @@ def test_info_sweep_rejects_threads_option(tmp_path, capsys):
     assert "magmon: error:" in capsys.readouterr().err
 
 
-def test_simulate_rejects_threads_option(config_path, tmp_path, capsys):
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_simulate_rejects_threads_below_one(config_path, tmp_path, capsys,
+                                            threads):
+    # simulate has no --threads option, so any value is a usage error
     out = tmp_path / "r"
     rc = cli.main(["simulate", "--config", config_path, "--out", str(out),
-                   "--threads", "2"])
+                   "--threads", threads])
     assert rc == 1
     assert "magmon: error:" in capsys.readouterr().err
     assert not out.exists()
