@@ -25,6 +25,7 @@ import csv
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -263,14 +264,17 @@ def cmd_estimate(args) -> int:
 def cmd_verify(args) -> int:
     results = []
     all_ok = True
+    start = time.perf_counter()
     for name, residual, threshold in checks.invariants(args.inject_error):
+        seconds = time.perf_counter() - start
         ok = residual <= threshold
         all_ok &= ok
         results.append({"invariant": name, "residual": float(residual),
-                        "threshold": float(threshold),
+                        "threshold": float(threshold), "seconds": seconds,
                         "verdict": "pass" if ok else "FAIL"})
         print(f"{'PASS' if ok else 'FAIL'}  {name}: residual {residual:.3e} "
               f"(threshold {threshold:.1e})")
+        start = time.perf_counter()
     report = {"all_passed": bool(all_ok), "checks": results}
     if args.out is not None:
         out = _outdir(args)

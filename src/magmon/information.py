@@ -75,7 +75,7 @@ class InformationReport:
 
 def _reduced(params: ModelParams, t):
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("time must be non-negative")
     return params.gamma / params.kappa, params.eta, params.J, params.kappa * t
 
@@ -168,10 +168,12 @@ def ultimate_qfi_ode(params: ModelParams, t: float) -> float:
         dY/dt       = sqrt(Jbar) sigma11
         dQ/dt       = 4 gamma^2 sqrt(Jbar) Y
 
-    from (1, 0, 0), in 4000 fixed RK4 steps (the system is smooth and
+    from (1, 0, 0), in 4000 equal RK4 steps (the system is smooth and
     non-stiff).  No field enters, so no field difference is taken.
     """
-    _reduced(params, t)                 # rejects t < 0
+    _reduced(params, t)                 # rejects t < 0 and nan
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     ek, J, gam2 = params.kappa, params.J, params.gamma ** 2
 
     def f(tt, y):
@@ -179,7 +181,8 @@ def ultimate_qfi_ode(params: ModelParams, t: float) -> float:
         rj = math.sqrt(J) * math.exp(-ek * tt / 4.0)
         return [2.0 * ek * rj * rj, rj * s11, 4.0 * gam2 * rj * Y]
 
-    return rk4(f, [1.0, 0.0, 0.0], (0.0, t), lambda t0, dt: 4000)[-1][2]
+    return rk4(f, [1.0, 0.0, 0.0], np.linspace(0.0, t, 4001),
+               lambda tt, y: math.inf)[-1][2]
 
 
 def scaling_slope(params: ModelParams, t: float, quantity: str = "Q_tilde",

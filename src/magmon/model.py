@@ -129,10 +129,10 @@ def as_real(name: str, value) -> float:
 def jbar(params: ModelParams, t):
     """Damped mean spin Jbar(t) = J exp(-kappa t / 2).
 
-    Accepts scalar or array t; rejects negative times.
+    Accepts scalar or array t; rejects negative and nan times.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("time must be non-negative")
     out = params.J * np.exp(-params.kappa * t / 2.0)
     return out if out.ndim else float(out)

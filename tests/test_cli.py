@@ -205,6 +205,8 @@ def test_verify_passes(tmp_path, capsys):
     assert report["all_passed"] is True
     assert all(chk["verdict"] == "pass" for chk in report["checks"])
     assert [chk["invariant"] for chk in report["checks"]] == VERIFY_INVARIANTS
+    for chk in report["checks"]:
+        assert isinstance(chk["seconds"], float) and chk["seconds"] >= 0.0
 
 
 def test_verify_inject_error_fails(capsys):

@@ -160,6 +160,21 @@ def test_ultimate_ode_route_is_field_free_and_starts_at_zero():
         ultimate_qfi_ode(p, -0.1)
 
 
+@pytest.mark.parametrize("closed", [fisher_record_closed, qfi_conditional,
+                                    ultimate_qfi_closed])
+def test_closed_forms_reject_nan_time(closed):
+    with pytest.raises(ValueError):
+        closed(P(J=100.0), math.nan)
+    with pytest.raises(ValueError):
+        closed(P(J=100.0), np.array([0.5, math.nan]))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_ultimate_ode_route_rejects_non_finite_time(t):
+    with pytest.raises(ValueError):
+        ultimate_qfi_ode(P(J=100.0), t)
+
+
 # -- the whole parameter domain: J in [0.5, 1e12], kappa t in [1e-8, 1e4] --------
 
 LOG_J = st.floats(min_value=math.log10(0.5), max_value=12.0)

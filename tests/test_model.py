@@ -34,6 +34,14 @@ def test_jbar_decay():
         jbar(p, -0.1)
 
 
+def test_jbar_rejects_nan_time():
+    p = ModelParams(J=100.0, kappa=1.0, gamma=1.0)
+    with pytest.raises(ValueError):
+        jbar(p, math.nan)
+    with pytest.raises(ValueError):
+        jbar(p, np.array([0.5, math.nan]))
+
+
 def test_time_grid():
     g = TimeGrid(t_final=2.0, n_steps=4)
     assert g.dt == 0.5
